@@ -238,7 +238,7 @@ def write_dataset(root, split: str, samples):
 
 def _read_csv(path) -> tuple:
     """Read a numeric CSV; returns (header, data array) or (header, None) if
-    the file holds no data rows."""
+    the file holds no data rows.  NaN and infinite values are rejected."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -255,9 +255,12 @@ def _read_csv(path) -> tuple:
                         f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
                     )
                 try:
-                    rows.append([float(v) for v in row])
+                    values = [float(v) for v in row]
                 except ValueError as exc:
                     raise DataLoadError(f"{path}:{lineno}: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise DataLoadError(f"{path}:{lineno}: non-finite value in {row}")
+                rows.append(values)
     except OSError as exc:
         raise DataLoadError(f"{path}: {exc}") from None
     if not rows:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Rng, Tensor
 
 
@@ -124,21 +124,6 @@ class EncodingTable:
         return {f"{prefix}.table": self.table}
 
 
-def band_attention_mask(n_steps: int, n_modalities: int, mask_length: int) -> np.ndarray:
-    """Additive mask for encoder self-attention over modality-major tokens.
-
-    Token m*n_steps + t carries time t; entry (i, j) is 0 when the two token
-    times are within ``mask_length`` of each other and -inf otherwise, so
-    attention is confined to a temporal band regardless of modality.
-    """
-    if mask_length < 0:
-        raise ConfigError(f"mask_length must be >= 0, got {mask_length}")
-    times = np.tile(np.arange(n_steps), n_modalities)
-    near = np.abs(times[:, None] - times[None, :]) <= mask_length
-    mask = np.where(near, 0.0, -np.inf)
-    return mask
-
-
 class MultiHeadAttention:
     """Scaled dot-product attention with per-head projections.
 
@@ -186,8 +171,24 @@ class MultiHeadAttention:
         training: bool = False,
         rng: Rng | None = None,
         return_probs: bool = False,
+        band: tuple | None = None,
     ):
+        """Attend from ``q_src`` to projected keys and values.
+
+        ``band = (n_mod, mask_length)`` marks a time-major self-attention
+        sequence and routes to ``tz.local_attention``, which confines each
+        token to steps within ``mask_length`` of its own; weights are then not
+        returned, and ``additive_mask`` must be None.
+        """
         q = self.project_q(q_src)
+        if band is not None:
+            if additive_mask is not None or return_probs:
+                raise ContractError("banded attention takes no additive mask or return_probs")
+            n_mod, mask_length = band
+            mixed = tz.local_attention(
+                q, k_heads, v_heads, n_mod, mask_length, self.dropout_rate, rng, training
+            )
+            return self.wo(self._merge(mixed))
         scores = tz.scaled_dot_scores(
             q, k_heads, 1.0 / math.sqrt(self.d_head), additive_mask
         )
@@ -205,9 +206,10 @@ class MultiHeadAttention:
         additive_mask=None,
         training: bool = False,
         rng: Rng | None = None,
+        band: tuple | None = None,
     ) -> Tensor:
         k, v = self.project_kv(kv_src)
-        return self.attend(q_src, k, v, additive_mask, training, rng)
+        return self.attend(q_src, k, v, additive_mask, training, rng, band=band)
 
     def attention_weights(self, q_src: Tensor, kv_src: Tensor, additive_mask=None):
         """Post-softmax weights [batch, heads, q_steps, kv_steps] (no mixing)."""
@@ -254,9 +256,12 @@ class EncoderLayer:
         self.dropout_rate = 0.0
 
     def __call__(
-        self, x: Tensor, additive_mask=None, training: bool = False, rng: Rng | None = None
+        self, x: Tensor, band: tuple | None = None, training: bool = False,
+        rng: Rng | None = None,
     ) -> Tensor:
-        a = self.attn(x, x, additive_mask, training, rng)
+        """``band = (n_mod, mask_length)`` confines self-attention over a
+        time-major token sequence to a temporal band; None attends to all."""
+        a = self.attn(x, x, None, training, rng, band=band)
         h = self.norm1(x + tz.dropout(a, self.dropout_rate, rng, training))
         f = self.ffn(h, training, rng)
         return self.norm2(h + tz.dropout(f, self.dropout_rate, rng, training))

@@ -2,9 +2,12 @@
 
 The encoder turns each available modality's feature stream into tokens
 (causal conv front + shared positional encoding + per-modality encoding),
-concatenates all modality tokens into one sequence, and runs transformer
-encoder layers whose self-attention is confined to a temporal band, so every
-token can mix with any modality but only within ``mask_length`` steps.
+interleaves them into one time-major sequence (token ``t * M + m`` is
+modality m at step t), and runs transformer encoder layers whose
+self-attention is confined to a temporal band, so every token can mix with
+any modality but only within ``mask_length`` steps.  The band is computed
+blockwise (``tensor.local_attention``), so encoder time and memory grow
+linearly with sequence length.
 
 The decoder is autoregressive over its own output features: the input token
 for step t is the previous step's top-layer feature (a learned start vector
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import (
+    CapacityError,
     ConfigError,
     ContractError,
     DataLoadError,
@@ -41,7 +45,6 @@ from .layers import (
     EncoderLayer,
     EncodingTable,
     RegressionHead,
-    band_attention_mask,
 )
 from .tensor import Rng, SequenceCache, Tensor
 
@@ -182,6 +185,7 @@ class EmotionRegressor:
         ``features`` maps modality name -> array [batch, steps, feat] (absent
         or None entries are treated as missing).  Returns the grouped encoder
         output and the list of modality names actually used, in config order.
+        A sequence longer than ``max_steps`` raises ``CapacityError``.
         """
         c = self.config
         present = self.available_modalities(features)
@@ -201,7 +205,7 @@ class EmotionRegressor:
             if n_steps is None:
                 n_steps = x.shape[1]
                 if n_steps > c.max_steps:
-                    raise ConfigError(
+                    raise CapacityError(
                         f"sequence of {n_steps} steps exceeds max_steps={c.max_steps}"
                     )
             elif x.shape[1] != n_steps:
@@ -209,17 +213,16 @@ class EmotionRegressor:
             front = self.conv_fronts[m](Tensor(x), training, rng)
             mi = c.modalities.index(m)
             token = front + self.enc_positions.rows(0, n_steps) + self.modality_codes.rows(mi, 1)
-            tokens.append(token)
-        # Modality-major token sequence [batch, n_present * steps, width].
-        h = tz.concat(tokens, axis=1)
-        mask = band_attention_mask(n_steps, len(present), c.mask_length)
-        for layer in self.encoder:
-            h = layer(h, mask, training, rng)
+            tokens.append(tz.reshape(token, token.data.shape[:2] + (1, c.d_model)))
+        # Time-major token sequence [batch, steps * n_present, width]: the M
+        # tokens of step t sit at [t*M, (t+1)*M), so the band is contiguous.
+        n_mod = len(present)
+        h = tz.concat(tokens, axis=2)
         b = h.data.shape[0]
-        grouped = tz.transpose(
-            tz.reshape(h, (b, len(present), n_steps, c.d_model)), (0, 2, 1, 3)
-        )
-        return grouped, present
+        h = tz.reshape(h, (b, n_steps * n_mod, c.d_model))
+        for layer in self.encoder:
+            h = layer(h, (n_mod, c.mask_length), training, rng)
+        return tz.reshape(h, (b, n_steps, n_mod, c.d_model)), present
 
     # ------------------------------------------------------------------
     # Decoder

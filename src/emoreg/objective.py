@@ -19,7 +19,13 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import tensor as tz
-from .errors import DegenerateTestError, InsufficientDataError, NumericError, ShapeError
+from .errors import (
+    ContractError,
+    DegenerateTestError,
+    InsufficientDataError,
+    NumericError,
+    ShapeError,
+)
 from .tensor import Tensor
 
 CCC_EPS = 1e-8
@@ -134,7 +140,7 @@ def welch_t_test(a, b, alternative: str = "two-sided") -> StatTestResult:
     and the Student-t CDF for the p-value.
     """
     if alternative not in ("two-sided", "less", "greater"):
-        raise ValueError(f"unknown alternative {alternative!r}")
+        raise ContractError(f"unknown alternative {alternative!r}")
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     na, nb = a.size, b.size
@@ -179,7 +185,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05):
     if m == 0:
         return np.zeros(0, dtype=bool), np.zeros(0)
     if np.any((p < 0) | (p > 1)) or not np.isfinite(p).all():
-        raise ValueError("p-values must lie in [0, 1]")
+        raise ContractError("p-values must lie in [0, 1]")
     order = np.argsort(p, kind="stable")
     # Adjusted p is the running max of (m - rank) * p over increasing rank,
     # clipped to 1; clipping commutes with the running max.

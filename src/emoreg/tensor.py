@@ -557,6 +557,113 @@ def scaled_dot_scores(q: Tensor, k: Tensor, scale: float, additive_mask=None) ->
     return out
 
 
+def _chunk_steps(mask_length: int) -> int:
+    """Query steps per local-attention chunk.
+
+    A chunk's key window spans ``chunk + 2 * mask_length`` steps, so half the
+    band keeps the out-of-band share of each window small, and the floor keeps
+    the per-chunk Python overhead small next to the matmuls at narrow bands.
+    """
+    return max(16, mask_length // 2)
+
+
+def local_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_mod: int,
+    mask_length: int,
+    rate: float,
+    rng: Rng | None,
+    training: bool,
+) -> Tensor:
+    """Band-limited self-attention over a time-major token sequence.
+
+    ``q`` and ``k`` are [batch, heads, steps * n_mod, width] and ``v`` is
+    [batch, heads, steps * n_mod, v_width]; token ``t * n_mod + m`` holds
+    modality m at step t.  Query token i attends to key token j exactly when
+    their steps satisfy ``|t_i - t_j| <= mask_length``, with weights
+    softmax(q k^T / sqrt(width)), inverted dropout at ``rate`` on the weights
+    in training, and the weighted sum of values as output.
+
+    The work is blockwise: each chunk of C query steps starting at t0 meets
+    only the key window [t0 - mask_length, t0 + C + mask_length), clipped to
+    the sequence, so time and memory grow linearly in steps.  Dropout is drawn
+    over each window only.  Under a tape, each chunk's weights and a boolean
+    keep mask are saved for the hand-written backward; without one, nothing
+    outlives its chunk.
+    """
+    if mask_length < 0:
+        raise ConfigError(f"mask_length must be >= 0, got {mask_length}")
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    drop = training and rate > 0.0
+    if drop and rng is None:
+        raise ConfigError("training-mode dropout requires an Rng")
+    if q.data.ndim != 4 or q.data.shape != k.data.shape or k.data.shape[:-1] != v.data.shape[:-1]:
+        raise ShapeError(
+            f"local attention needs matching [batch, heads, tokens, width] q/k/v, "
+            f"got {q.data.shape}, {k.data.shape}, {v.data.shape}"
+        )
+    n_tok = q.data.shape[-2]
+    if n_mod < 1 or n_tok % n_mod:
+        raise ShapeError(f"{n_tok} tokens do not split into steps of {n_mod} modalities")
+    n_steps = n_tok // n_mod
+    scale = 1.0 / math.sqrt(q.data.shape[-1])
+    qd = q.data * scale  # scaling q is cheaper than scaling every score block
+    inv_keep = 1.0 / (1.0 - rate)
+    chunk = _chunk_steps(mask_length)
+    tape = _recording(q, k, v)
+    y = np.empty(q.data.shape[:-1] + v.data.shape[-1:], dtype=np.float64)
+    saved = []
+    masks = {}  # additive -inf masks by window geometry; interior chunks share one
+    for t0 in range(0, n_steps, chunk):
+        t1 = min(t0 + chunk, n_steps)
+        lo, hi = max(0, t0 - mask_length), min(n_steps, t1 + mask_length)
+        qs, ks = slice(t0 * n_mod, t1 * n_mod), slice(lo * n_mod, hi * n_mod)
+        p = np.matmul(qd[..., qs, :], np.swapaxes(k.data[..., ks, :], -1, -2))
+        if max(t1 - 1 - lo, hi - 1 - t0) > mask_length:  # window corners lie outside the band
+            key = (t0 - lo, t1 - t0, hi - lo)
+            if key not in masks:
+                tq = np.repeat(np.arange(t0, t1), n_mod)
+                tk = np.repeat(np.arange(lo, hi), n_mod)
+                far = np.abs(tq[:, None] - tk[None, :]) > mask_length
+                masks[key] = np.where(far, -np.inf, 0.0)
+            p += masks[key]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        keep = rng.random(p.shape) >= rate if drop else None
+        pd = p if keep is None else p * keep * inv_keep
+        np.matmul(pd, v.data[..., ks, :], out=y[..., qs, :])
+        if tape is not None:
+            saved.append((qs, ks, p, keep))
+    out = _result(y, tape)
+    if tape is not None:
+
+        def bw(g):
+            gq, gk, gv = (np.zeros_like(t.data) for t in (q, k, v))
+            for qs, ks, p, keep in saved:
+                gc = g[..., qs, :]
+                pd = p if keep is None else p * keep * inv_keep
+                gv[..., ks, :] += np.matmul(np.swapaxes(pd, -1, -2), gc)
+                gp = np.matmul(gc, np.swapaxes(v.data[..., ks, :], -1, -2))
+                if keep is not None:
+                    gp *= keep
+                    gp *= inv_keep
+                gp -= (gp * p).sum(axis=-1, keepdims=True)
+                gp *= p
+                gq[..., qs, :] += np.matmul(gp, k.data[..., ks, :])
+                gk[..., ks, :] += np.matmul(np.swapaxes(gp, -1, -2), qd[..., qs, :])
+            gq *= scale
+            _add_grad(q, gq)
+            _add_grad(k, gk)
+            _add_grad(v, gv)
+
+        tape.record(out, bw, "local_attention")
+    return out
+
+
 def dilated_causal_conv1d(
     x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1
 ) -> Tensor:

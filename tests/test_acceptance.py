@@ -201,6 +201,23 @@ def _primitive_cases():
         return _sq(cache.read())
 
     cases.append(("sequence_cache", {"r0": r0, "r1": r1, "r2": r2}, f_cache))
+
+    # Banded attention over time-major tokens: 40 steps span three or more
+    # query chunks; M=1 and M=3, a zero band and one wider than the sequence.
+    for n_steps, n_mod, mask_length, rate in (
+        (40, 3, 5, 0.3), (40, 1, 0, 0.0), (12, 3, 12, 0.25),
+    ):
+        n = n_steps * n_mod
+        q, k = _param(rng, (1, 2, n, 2)), _param(rng, (1, 2, n, 2))
+        v = _param(rng, (1, 2, n, 3))
+
+        def f_local(q=q, k=k, v=v, m=n_mod, L=mask_length, rate=rate):
+            # fresh Rng per call -> identical dropout on every evaluation
+            return _sq(tz.local_attention(q, k, v, m, L, rate, Rng(56), True))
+
+        cases.append((f"local_attention[T={n_steps},M={n_mod},L={mask_length}]",
+                      {"q": q, "k": k, "v": v}, f_local))
+    assert 40 > 2 * tz._chunk_steps(5)  # the first case really spans 3 chunks
     return cases
 
 

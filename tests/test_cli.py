@@ -175,6 +175,18 @@ class TestTrain:
             run_dir / "history.json"
         ).read_bytes()
 
+    def test_sequence_over_max_steps_exits_1(self, dataset, workspace, capsys):
+        # Validation samples (60 steps) exceed max_steps: a capacity error.
+        cfg = workspace / "short.cfg"
+        cfg.write_text(TRAIN_CFG.replace("train.epochs = 4", "train.epochs = 1")
+                       + "model.max_steps = 50\n")
+        rc = main(
+            ["train", "--data", str(dataset), "--out", str(workspace / "short"),
+             "--config", str(cfg), "--quiet"]
+        )
+        assert rc == 1
+        assert "max_steps=50" in capsys.readouterr().err
+
 
 class TestEval:
     def test_stdout_and_json(self, run_dir, dataset, workspace, capsys):

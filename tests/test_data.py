@@ -170,6 +170,26 @@ class TestLoadErrors:
         with pytest.raises(DataLoadError, match=r"labels\.csv:3"):
             load_sample(d, ("audio",))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_label_names_file_and_row(self, tmp_path, value):
+        d = self.write_sample(tmp_path)
+        path = os.path.join(d, "labels.csv")
+        lines = open(path).read().splitlines()
+        lines[2] = f"0.5,{value}"
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=r"labels\.csv:3: non-finite"):
+            load_sample(d, ("audio",))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_file_and_row(self, tmp_path, value):
+        d = self.write_sample(tmp_path)
+        path = os.path.join(d, "audio.csv")
+        lines = open(path).read().splitlines()
+        lines[4] = f"1.5,1.0,{value}"
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=r"audio\.csv:5: non-finite"):
+            load_sample(d, ("audio",))
+
     def test_bad_spacing_detected(self, tmp_path):
         d = self.write_sample(tmp_path)
         path = os.path.join(d, "labels.csv")

@@ -84,42 +84,87 @@ class TestEncodingTable:
         assert abs(table.table.data.std() - 0.02) < 0.002
 
 
+def _dense_band_attention(q, k, v, n_mod, mask_length):
+    """Oracle: softmax over every token pair of a time-major sequence, with
+    -inf wherever the two tokens' steps differ by more than mask_length."""
+    steps = np.arange(q.shape[-2]) // n_mod
+    mask = np.where(np.abs(steps[:, None] - steps[None, :]) <= mask_length, 0.0, -np.inf)
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]) + mask
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True) @ v
+
+
+def _band_weights(n_steps, n_mod, mask_length):
+    """Attention weights of tz.local_attention, read out through one-hot
+    values: token j's value is e_j, so output row i is weight row i."""
+    rng = Rng(30)
+    n = n_steps * n_mod
+    q = Tensor(rng.normal(0, 1, (1, 1, n, 4)))
+    k = Tensor(rng.normal(0, 1, (1, 1, n, 4)))
+    v = Tensor(np.eye(n)[None, None])
+    return tz.local_attention(q, k, v, n_mod, mask_length, 0.0, None, False).data[0, 0]
+
+
 class TestBandMask:
+    """The temporal band of encoder self-attention (``tz.local_attention``)."""
+
     def test_small_known_case(self):
         # Two steps, two modalities, band 0: attention only within a timestep,
         # but across both modalities.
-        mask = ly.band_attention_mask(2, 2, 0)
-        # Token order: (m0,t0), (m0,t1), (m1,t0), (m1,t1).
-        finite = np.isfinite(mask)
+        weights = _band_weights(2, 2, 0)
+        # Time-major token order: (t0,m0), (t0,m1), (t1,m0), (t1,m1).
         expected = np.array(
             [
-                [1, 0, 1, 0],
-                [0, 1, 0, 1],
-                [1, 0, 1, 0],
-                [0, 1, 0, 1],
+                [1, 1, 0, 0],
+                [1, 1, 0, 0],
+                [0, 0, 1, 1],
+                [0, 0, 1, 1],
             ],
             dtype=bool,
         )
-        np.testing.assert_array_equal(finite, expected)
+        np.testing.assert_array_equal(weights > 0.0, expected)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_band_width(self):
-        mask = ly.band_attention_mask(6, 1, 2)
-        for i in range(6):
-            for j in range(6):
-                assert np.isfinite(mask[i, j]) == (abs(i - j) <= 2)
+        # 40 steps span several query chunks, so the band crosses chunk edges.
+        weights = _band_weights(40, 1, 2)
+        i, j = np.indices(weights.shape)
+        np.testing.assert_array_equal(weights > 0.0, np.abs(i - j) <= 2)
 
     def test_symmetric_and_zero_on_allowed(self):
-        mask = ly.band_attention_mask(5, 3, 1)
-        np.testing.assert_array_equal(mask, mask.T)
-        assert np.all(mask[np.isfinite(mask)] == 0.0)
+        # The band is symmetric, out-of-band weights are exactly 0, and the
+        # band adds nothing to allowed scores: each row is the plain softmax
+        # renormalised over its allowed entries.
+        weights = _band_weights(37, 3, 1)
+        np.testing.assert_array_equal(weights > 0.0, (weights > 0.0).T)
+        full = _band_weights(37, 3, 100)
+        allowed = np.where(weights > 0.0, full, 0.0)
+        np.testing.assert_allclose(
+            weights, allowed / allowed.sum(axis=-1, keepdims=True), atol=1e-12
+        )
 
     def test_wide_band_allows_everything(self):
-        mask = ly.band_attention_mask(4, 2, 100)
-        assert np.isfinite(mask).all()
+        assert (_band_weights(4, 2, 100) > 0.0).all()
 
     def test_negative_length_rejected(self):
+        x = Tensor(np.zeros((1, 1, 4, 2)))
         with pytest.raises(ConfigError):
-            ly.band_attention_mask(4, 2, -1)
+            tz.local_attention(x, x, x, 2, -1, 0.0, None, False)
+
+    @pytest.mark.parametrize(
+        "n_steps, n_mod, mask_length",
+        [(2, 2, 0), (40, 1, 0), (40, 3, 5), (37, 2, 17), (50, 3, 24), (6, 3, 100)],
+    )
+    def test_matches_dense_oracle(self, n_steps, n_mod, mask_length):
+        rng = Rng(31)
+        n = n_steps * n_mod
+        q, k = rng.normal(0, 1, (2, 2, n, 4)), rng.normal(0, 1, (2, 2, n, 4))
+        v = rng.normal(0, 1, (2, 2, n, 3))
+        got = tz.local_attention(
+            Tensor(q), Tensor(k), Tensor(v), n_mod, mask_length, 0.0, None, False
+        )
+        want = _dense_band_attention(q, k, v, n_mod, mask_length)
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 class TestMultiHeadAttention:

@@ -1,10 +1,18 @@
 """Tests for the full encoder-decoder model and checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from emoreg import tensor as tz
-from emoreg.errors import ConfigError, ContractError, NoModalityError, ShapeError
+from emoreg.errors import (
+    CapacityError,
+    ConfigError,
+    ContractError,
+    NoModalityError,
+    ShapeError,
+)
 from emoreg.model import (
     EmotionRegressor,
     ModelConfig,
@@ -113,8 +121,28 @@ class TestForward:
             self.model.forward({"a": np.ones((1, 4, 3)), "b": np.ones((1, 5, 2))})
 
     def test_too_long_sequence_raises(self):
-        with pytest.raises(ConfigError):
+        # A capacity limit, not a config mistake: the CLI exits 1, not 2.
+        with pytest.raises(CapacityError) as info:
             self.model.forward({"a": np.ones((1, 65, 3))})
+        assert not isinstance(info.value, ConfigError)
+        preds, _, _ = self.model.forward({"a": np.ones((1, 64, 3))})
+        assert preds.data.shape == (1, 64)
+
+    def test_eval_encode_memory_is_linear_in_steps(self):
+        # Banded attention is computed blockwise, so doubling the sequence
+        # at most doubles eval-mode peak memory (a dense (M*T)^2 score matrix
+        # would quadruple it); 2.5x leaves room for fixed overheads.
+        model = EmotionRegressor(tiny_config(max_steps=512), Rng(0))
+        peaks = []
+        for steps in (200, 400):
+            feats = make_features(model.config, Rng(1), batch=1, steps=steps)
+            tracemalloc.start()
+            try:
+                model.encode(feats)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.5 * peaks[0], peaks
 
     def test_eval_forward_is_deterministic(self):
         feats = make_features(self.cfg, self.rng)

@@ -5,6 +5,7 @@ import pytest
 
 from emoreg import objective as ob
 from emoreg.errors import (
+    ContractError,
     DegenerateTestError,
     InsufficientDataError,
     NumericError,
@@ -179,7 +180,7 @@ class TestWelch:
             ob.welch_t_test([1.0], [2.0, 3.0])
 
     def test_bad_alternative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             ob.welch_t_test([1.0, 2.0], [3.0, 4.0], "above")
 
     def test_one_sided_halves_two_sided(self):
@@ -242,9 +243,9 @@ class TestHolm:
             np.testing.assert_array_equal(reject, adjusted <= 0.05)
 
     def test_invalid_p_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             ob.holm_bonferroni([0.5, 1.2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             ob.holm_bonferroni([-0.1])
 
 
