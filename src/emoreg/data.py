@@ -22,10 +22,11 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dictconfig import DictConfig
 from .errors import ConfigError, ContractError, DataLoadError, InsufficientDataError
 from .tensor import Rng
 
@@ -65,9 +66,6 @@ class MultimodalSample:
     def n_steps(self) -> int:
         return self.timestamps.shape[0]
 
-    def present_modalities(self) -> list:
-        return [m for m, x in self.features.items() if x is not None]
-
 
 @dataclass
 class Segment:
@@ -85,7 +83,7 @@ class Segment:
 
 
 @dataclass
-class SynthConfig:
+class SynthConfig(DictConfig):
     """Parameters of the synthetic multimodal benchmark."""
 
     n_train: int = 20
@@ -118,21 +116,6 @@ class SynthConfig:
             raise ConfigError("n_distractors must be >= 0")
         if not 0 < self.freq_lo < self.freq_hi:
             raise ConfigError("need 0 < freq_lo < freq_hi")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def _wave(rng: Rng, n_steps: int, n_components: int, freq_lo: float, freq_hi: float):

@@ -1,0 +1,30 @@
+"""Dict round trip shared by the dataclass configs (model, train, synth)."""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+from .errors import ConfigError
+
+
+class DictConfig:
+    """Mixin for config dataclasses.
+
+    ``to_dict`` gives JSON-ready field values (tuples become lists);
+    ``from_dict`` rebuilds the config and rejects keys the class lacks.
+    """
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = list(v) if isinstance(v, tuple) else v
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            kind = cls.__name__.removesuffix("Config").lower()
+            raise ConfigError(f"unknown {kind} config keys: {sorted(unknown)}")
+        return cls(**d)

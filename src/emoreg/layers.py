@@ -58,7 +58,8 @@ class CausalConvStack:
     projection when the widths differ, i.e. at the first layer).
     """
 
-    def __init__(self, d_in: int, d_model: int, n_layers: int, kernel_size: int, rng: Rng):
+    def __init__(self, d_in: int, d_model: int, n_layers: int, kernel_size: int, rng: Rng,
+                 dropout: float = 0.0):
         if n_layers < 1:
             raise ConfigError("conv stack needs at least one layer")
         if kernel_size < 1:
@@ -76,7 +77,7 @@ class CausalConvStack:
             self.dilations.append(2**i)
             width = d_model
         self.res_proj = Linear(d_in, d_model, rng) if d_in != d_model else None
-        self.dropout_rate = 0.0
+        self.dropout_rate = dropout
 
     @property
     def receptive_field(self) -> int:
@@ -132,7 +133,7 @@ class MultiHeadAttention:
     and value projections instead of recomputing them each step.
     """
 
-    def __init__(self, d_model: int, n_heads: int, rng: Rng):
+    def __init__(self, d_model: int, n_heads: int, rng: Rng, dropout: float = 0.0):
         if d_model % n_heads != 0:
             raise ConfigError(
                 f"model width {d_model} not divisible by {n_heads} heads"
@@ -144,7 +145,7 @@ class MultiHeadAttention:
         self.wk = Linear(d_model, d_model, rng)
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
-        self.dropout_rate = 0.0
+        self.dropout_rate = dropout
 
     def _split(self, x: Tensor) -> Tensor:
         b, s, _ = x.data.shape
@@ -211,15 +212,6 @@ class MultiHeadAttention:
         k, v = self.project_kv(kv_src)
         return self.attend(q_src, k, v, additive_mask, training, rng, band=band)
 
-    def attention_weights(self, q_src: Tensor, kv_src: Tensor, additive_mask=None):
-        """Post-softmax weights [batch, heads, q_steps, kv_steps] (no mixing)."""
-        q = self.project_q(q_src)
-        k, _ = self.project_kv(kv_src)
-        scores = tz.scaled_dot_scores(
-            q, k, 1.0 / math.sqrt(self.d_head), additive_mask
-        )
-        return tz.softmax(scores, axis=-1)
-
     def parameters(self, prefix: str) -> dict:
         out = {}
         for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
@@ -230,10 +222,10 @@ class MultiHeadAttention:
 class FeedForward:
     """Position-wise two-layer network: linear -> ReLU -> dropout -> linear."""
 
-    def __init__(self, d_model: int, d_hidden: int, rng: Rng):
+    def __init__(self, d_model: int, d_hidden: int, rng: Rng, dropout: float = 0.0):
         self.w1 = Linear(d_model, d_hidden, rng)
         self.w2 = Linear(d_hidden, d_model, rng)
-        self.dropout_rate = 0.0
+        self.dropout_rate = dropout
 
     def __call__(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
         h = tz.dropout(tz.relu(self.w1(x)), self.dropout_rate, rng, training)
@@ -248,12 +240,13 @@ class FeedForward:
 class EncoderLayer:
     """Post-norm transformer encoder layer: self-attention then feed-forward."""
 
-    def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng):
-        self.attn = MultiHeadAttention(d_model, n_heads, rng)
-        self.ffn = FeedForward(d_model, d_ffn, rng)
+    def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng,
+                 dropout: float = 0.0):
+        self.attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
+        self.ffn = FeedForward(d_model, d_ffn, rng, dropout)
         self.norm1 = LayerNorm(d_model)
         self.norm2 = LayerNorm(d_model)
-        self.dropout_rate = 0.0
+        self.dropout_rate = dropout
 
     def __call__(
         self, x: Tensor, band: tuple | None = None, training: bool = False,
@@ -279,19 +272,20 @@ class DecoderLayer:
     cross-attention over the current step's per-modality encoder outputs,
     then feed-forward.
 
-    The sublayers are exposed individually because incremental decoding owns
-    the key/value caches: the model appends this step's self-attention KV
-    rows, reads the prefix back, and passes pre-sliced cross-attention KV.
+    ``step`` runs one decode step; the caller owns the key/value caches: it
+    appends this step's self-attention KV rows, passes the prefix back in, and
+    passes the cross-attention KV already sliced to the current step.
     """
 
-    def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng):
-        self.self_attn = MultiHeadAttention(d_model, n_heads, rng)
-        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng)
-        self.ffn = FeedForward(d_model, d_ffn, rng)
+    def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng,
+                 dropout: float = 0.0):
+        self.self_attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
+        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
+        self.ffn = FeedForward(d_model, d_ffn, rng, dropout)
         self.norm1 = LayerNorm(d_model)
         self.norm2 = LayerNorm(d_model)
         self.norm3 = LayerNorm(d_model)
-        self.dropout_rate = 0.0
+        self.dropout_rate = dropout
 
     def step(
         self,
@@ -302,14 +296,21 @@ class DecoderLayer:
         v_cross: Tensor,
         training: bool = False,
         rng: Rng | None = None,
-    ) -> Tensor:
-        """One decode step; history tensors already include the current step."""
+    ) -> tuple:
+        """One decode step; history tensors already include the current step.
+
+        Returns the layer output and the cross-attention weights
+        [batch, heads, 1, n_cross].
+        """
         a = self.self_attn.attend(x_t, k_hist, v_hist, None, training, rng)
         h1 = self.norm1(x_t + tz.dropout(a, self.dropout_rate, rng, training))
-        c = self.cross_attn.attend(h1, k_cross, v_cross, None, training, rng)
+        c, cross_probs = self.cross_attn.attend(
+            h1, k_cross, v_cross, None, training, rng, return_probs=True
+        )
         h2 = self.norm2(h1 + tz.dropout(c, self.dropout_rate, rng, training))
         f = self.ffn(h2, training, rng)
-        return self.norm3(h2 + tz.dropout(f, self.dropout_rate, rng, training))
+        out = self.norm3(h2 + tz.dropout(f, self.dropout_rate, rng, training))
+        return out, cross_probs
 
     def parameters(self, prefix: str) -> dict:
         out = self.self_attn.parameters(f"{prefix}.self_attn")

@@ -17,8 +17,8 @@ step's per-modality encoder outputs, and a feed-forward block; a small
 regression head maps the top-layer feature to the predicted value.  Decoding
 is free-running: gradients flow through the whole unrolled sequence.
 
-``decode`` uses per-layer key/value caches; ``decode_uncached`` recomputes
-every step from raw history and exists as an independent cross-check.
+``decode`` keeps per-layer self-attention key/value caches and runs
+``DecoderLayer.step`` once per layer and step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
     NoModalityError,
     ShapeError,
 )
+from .dictconfig import DictConfig
 from .layers import (
     CausalConvStack,
     DecoderLayer,
@@ -50,7 +51,7 @@ from .tensor import Rng, SequenceCache, Tensor
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(DictConfig):
     """Architecture hyperparameters; defaults follow the reference setup."""
 
     modalities: tuple = ("audio", "video", "text")
@@ -90,21 +91,6 @@ class ModelConfig:
         if self.d_model % self.enc_heads or self.d_model % self.dec_heads:
             raise ConfigError("d_model must be divisible by both head counts")
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 class EmotionRegressor:
     """Encoder-decoder regressor over multimodal feature streams."""
@@ -115,7 +101,7 @@ class EmotionRegressor:
         self.conv_fronts = {
             m: CausalConvStack(
                 c.modality_widths[m], c.d_model, c.conv_layers, c.conv_kernel,
-                rng.child(f"conv/{m}"),
+                rng.child(f"conv/{m}"), c.dropout,
             )
             for m in c.modalities
         }
@@ -124,7 +110,7 @@ class EmotionRegressor:
             len(c.modalities), c.d_model, rng.child("modality_codes")
         )
         self.encoder = [
-            EncoderLayer(c.d_model, c.enc_heads, c.d_ffn, rng.child(f"enc/{i}"))
+            EncoderLayer(c.d_model, c.enc_heads, c.d_ffn, rng.child(f"enc/{i}"), c.dropout)
             for i in range(c.enc_layers)
         ]
         self.dec_positions = EncodingTable(c.max_steps, c.d_model, rng.child("dec_pos"))
@@ -132,25 +118,10 @@ class EmotionRegressor:
             rng.child("start").normal(0.0, 0.02, (c.d_model,)), requires_grad=True
         )
         self.decoder = [
-            DecoderLayer(c.d_model, c.dec_heads, c.d_ffn, rng.child(f"dec/{i}"))
+            DecoderLayer(c.d_model, c.dec_heads, c.d_ffn, rng.child(f"dec/{i}"), c.dropout)
             for i in range(c.dec_layers)
         ]
         self.head = RegressionHead(c.d_model, c.head_hidden, rng.child("head"))
-        for block in self._dropout_blocks():
-            block.dropout_rate = c.dropout
-
-    def _dropout_blocks(self):
-        for stack in self.conv_fronts.values():
-            yield stack
-        for layer in self.encoder:
-            yield layer
-            yield layer.attn
-            yield layer.ffn
-        for layer in self.decoder:
-            yield layer
-            yield layer.self_attn
-            yield layer.cross_attn
-            yield layer.ffn
 
     def parameters(self) -> dict:
         out = {}
@@ -227,16 +198,6 @@ class EmotionRegressor:
     # ------------------------------------------------------------------
     # Decoder
 
-    def _cross_kv(self, encoded: Tensor, layer: DecoderLayer) -> tuple:
-        """Project cross-attention K/V for all steps in one pass.
-
-        ``encoded`` is [batch, steps, n_mod, width]; the flattened sequence is
-        step-major, so the M tokens of step t sit at slice [t*M, (t+1)*M).
-        """
-        b, n_steps, n_mod, d = encoded.data.shape
-        flat = tz.reshape(encoded, (b, n_steps * n_mod, d))
-        return layer.cross_attn.project_kv(flat)
-
     def decode(
         self,
         encoded: Tensor,
@@ -253,7 +214,12 @@ class EmotionRegressor:
         c = self.config
         b, n_steps, n_mod, d = encoded.data.shape
         n_heads, d_head = c.dec_heads, d // c.dec_heads
-        cross = [self._cross_kv(encoded, layer) for layer in self.decoder]
+        # Cross-attention K/V for all steps, projected once per layer from the
+        # step-major flattening: the M tokens of step t sit at [t*M, (t+1)*M).
+        cross = [
+            layer.cross_attn.project_kv(tz.reshape(encoded, (b, n_steps * n_mod, d)))
+            for layer in self.decoder
+        ]
         caches = [
             (
                 SequenceCache((b, n_heads), n_steps, d_head),
@@ -265,27 +231,17 @@ class EmotionRegressor:
         outputs = []
         importance = np.zeros(n_mod) if collect_importance else None
         for t in range(n_steps):
+            sl = (slice(None), slice(None), slice(t * n_mod, (t + 1) * n_mod))
             h = x
-            for li, layer in enumerate(self.decoder):
+            for layer, (kc, vc), (k_all, v_all) in zip(self.decoder, caches, cross):
                 k_row, v_row = layer.self_attn.project_kv(h)
-                kc, vc = caches[li]
                 kc.append(k_row)
                 vc.append(v_row)
-                a = layer.self_attn.attend(h, kc.read(), vc.read(), None, training, rng)
-                h1 = layer.norm1(h + tz.dropout(a, layer.dropout_rate, rng, training))
-                k_all, v_all = cross[li]
-                sl = (slice(None), slice(None), slice(t * n_mod, (t + 1) * n_mod))
-                k_t, v_t = k_all[sl], v_all[sl]
+                h, cross_probs = layer.step(
+                    h, kc.read(), vc.read(), k_all[sl], v_all[sl], training, rng
+                )
                 if collect_importance:
-                    cr, probs = layer.cross_attn.attend(
-                        h1, k_t, v_t, None, training, rng, return_probs=True
-                    )
-                    importance += probs.data.mean(axis=(0, 1, 2))
-                else:
-                    cr = layer.cross_attn.attend(h1, k_t, v_t, None, training, rng)
-                h2 = layer.norm2(h1 + tz.dropout(cr, layer.dropout_rate, rng, training))
-                f = layer.ffn(h2, training, rng)
-                h = layer.norm3(h2 + tz.dropout(f, layer.dropout_rate, rng, training))
+                    importance += cross_probs.data.mean(axis=(0, 1, 2))
             outputs.append(h)
             if t + 1 < n_steps:
                 x = h + self.dec_positions.rows(t + 1, 1)
@@ -294,65 +250,6 @@ class EmotionRegressor:
         if collect_importance:
             importance /= n_steps * len(self.decoder)
         return preds, importance
-
-    def decode_uncached(self, encoded: Tensor) -> Tensor:
-        """Reference decode that rebuilds every step from raw history.
-
-        No key/value caches: at each step the full input prefix is re-run
-        through every decoder layer (causal self-attention, per-position
-        cross-attention).  Exists to cross-check the incremental path;
-        evaluation mode only.
-        """
-        c = self.config
-        b, n_steps, n_mod, d = encoded.data.shape
-        n_heads, d_head = c.dec_heads, d // c.dec_heads
-        cross = [self._cross_kv(encoded, layer) for layer in self.decoder]
-        # Regrouped cross K/V [batch, steps, heads, n_mod, d_head].
-        cross_grouped = []
-        for k_all, v_all in cross:
-            def regroup(z):
-                z = tz.transpose(z, (0, 2, 1, 3))  # [b, steps*n_mod, heads, dh]
-                z = tz.reshape(z, (b, n_steps, n_mod, n_heads, d_head))
-                return tz.transpose(z, (0, 1, 3, 2, 4))
-            cross_grouped.append((regroup(k_all), regroup(v_all)))
-        start = Tensor(np.zeros((b, 1, d))) + self.start_vector + self.dec_positions.rows(0, 1)
-        inputs = [start]
-        outputs = []
-        for t in range(n_steps):
-            h = tz.concat(inputs, axis=-2) if len(inputs) > 1 else inputs[0]
-            s = t + 1
-            causal = np.where(
-                np.arange(s)[:, None] >= np.arange(s)[None, :], 0.0, -np.inf
-            )
-            for li, layer in enumerate(self.decoder):
-                a = layer.self_attn(h, h, causal)
-                h1 = layer.norm1(h + a)
-                cr = self._positionwise_cross(layer, h1, cross_grouped[li], s)
-                h2 = layer.norm2(h1 + cr)
-                h = layer.norm3(h2 + layer.ffn(h2))
-            last = h[:, t : t + 1]
-            outputs.append(last)
-            if t + 1 < n_steps:
-                inputs.append(last + self.dec_positions.rows(t + 1, 1))
-        feats = tz.concat(outputs, axis=-2)
-        return tz.reshape(self.head(feats), (b, n_steps))
-
-    def _positionwise_cross(self, layer, h1: Tensor, kv_grouped: tuple, s: int) -> Tensor:
-        """Cross-attention where query position j sees only step j's modality
-        tokens, batched over positions."""
-        attn = layer.cross_attn
-        b = h1.data.shape[0]
-        nh, dh = attn.n_heads, attn.d_head
-        q = attn.wq(h1)  # [b, s, d]
-        q5 = tz.reshape(q, (b, s, nh, 1, dh))
-        k5, v5 = kv_grouped
-        sl = (slice(None), slice(0, s))
-        k5s, v5s = k5[sl], v5[sl]  # [b, s, nh, n_mod, dh]
-        scores = tz.scaled_dot_scores(q5, k5s, 1.0 / np.sqrt(dh))
-        probs = tz.softmax(scores, axis=-1)
-        mixed = tz.matmul(probs, v5s)  # [b, s, nh, 1, dh]
-        merged = tz.reshape(mixed, (b, s, nh * dh))
-        return attn.wo(merged)
 
     # ------------------------------------------------------------------
 
@@ -405,20 +302,25 @@ def save_checkpoint(path, config: dict, params: dict, norm_stats: dict):
 
 
 def load_checkpoint(path) -> tuple:
-    """Read back (config dict, param arrays by name, norm stats by name)."""
+    """Read back (config dict, param arrays by name, norm stats by name).
+
+    A missing, truncated or malformed file raises ``DataLoadError``.
+    """
     try:
-        handle = np.load(path)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        with np.load(path) as data:
+            config = json.loads(str(data[_CONFIG_MEMBER][()]))
+            params = {}
+            norm_stats = {}
+            for key in data.files:
+                if key.startswith("param/"):
+                    params[key[len("param/"):]] = data[key]
+                elif key.startswith("norm/"):
+                    norm_stats[key[len("norm/"):]] = data[key]
+    # RuntimeError: zipfile's answer to a corrupt method or encryption flag.
+    except (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
         raise DataLoadError(f"cannot read checkpoint {path}: {exc}") from None
-    with handle as data:
-        config = json.loads(str(data[_CONFIG_MEMBER][()]))
-        params = {}
-        norm_stats = {}
-        for key in data.files:
-            if key.startswith("param/"):
-                params[key[len("param/"):]] = data[key]
-            elif key.startswith("norm/"):
-                norm_stats[key[len("norm/"):]] = data[key]
+    if not isinstance(config, dict):
+        raise DataLoadError(f"cannot read checkpoint {path}: config is not a JSON object")
     return config, params, norm_stats
 
 

@@ -23,7 +23,6 @@ from .errors import (
     ContractError,
     DegenerateTestError,
     InsufficientDataError,
-    NumericError,
     ShapeError,
 )
 from .tensor import Tensor
@@ -54,20 +53,6 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     if pred.size == 0:
         raise InsufficientDataError("rmse of empty sequences")
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
-
-
-def pearson(pred: np.ndarray, truth: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    truth = np.asarray(truth, dtype=np.float64).reshape(-1)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"pearson length mismatch: {pred.shape} vs {truth.shape}")
-    if pred.size < 2:
-        raise InsufficientDataError("pearson needs at least 2 points")
-    dp, dt = pred - pred.mean(), truth - truth.mean()
-    denom = math.sqrt(float(np.mean(dp * dp)) * float(np.mean(dt * dt)))
-    if denom < 1e-300:
-        raise NumericError("pearson undefined: an input has zero variance")
-    return float(np.mean(dp * dt)) / denom
 
 
 def ccc_loss(pred: Tensor, truth: np.ndarray) -> Tensor:

@@ -211,11 +211,6 @@ def current_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def backward(loss: Tensor, tape: Tape):
-    """Free-function form of ``tape.backward(loss)``."""
-    tape.backward(loss)
-
-
 def _recording(*tensors) -> Tape | None:
     tape = current_tape()
     if tape is None:
@@ -247,42 +242,6 @@ def _add_grad(t: Tensor, g: np.ndarray):
 
 def _result(data, tape) -> Tensor:
     return Tensor(data, requires_grad=tape is not None)
-
-
-# ---------------------------------------------------------------------------
-# Initialization
-
-
-def tensor_init(
-    shape,
-    scheme: str,
-    rng: Rng | None = None,
-    *,
-    mean: float = 0.0,
-    std: float = 1.0,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    requires_grad: bool = False,
-) -> Tensor:
-    """Create a tensor from a named init scheme: zeros, normal, or uniform."""
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"invalid shape {shape}: all extents must be >= 1")
-    if scheme == "zeros":
-        data = np.zeros(shape, dtype=np.float64)
-    elif scheme == "normal":
-        if std < 0:
-            raise ConfigError(f"normal init requires std >= 0, got {std}")
-        if rng is None:
-            raise ConfigError("normal init requires an Rng")
-        data = rng.normal(mean, std, shape)
-    elif scheme == "uniform":
-        if rng is None:
-            raise ConfigError("uniform init requires an Rng")
-        data = rng.uniform(lo, hi, shape)
-    else:
-        raise ConfigError(f"unknown init scheme {scheme!r}")
-    return Tensor(data, requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Holm-Bonferroni correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .data import (
     normalize_features,
     segment_samples,
 )
+from .dictconfig import DictConfig
 from .errors import (
+    CapacityError,
     ConfigError,
     ContractError,
     DegenerateTestError,
@@ -39,7 +41,7 @@ from .tensor import Rng, Tape, Tensor
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DictConfig):
     """Optimization hyperparameters; defaults follow the reference setup."""
 
     epochs: int = 100
@@ -66,17 +68,6 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ConfigError("adam_eps must be > 0")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class AdamOptimizer:
@@ -285,6 +276,16 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
         if len(model_cfg.modalities) < 2:
             raise ConfigError("modality elimination needs at least two modalities")
         policy = EliminationPolicy(dict(train_cfg.elimination))
+    # Training runs on segments of at most segment_length steps, validation on
+    # whole samples: reject any that exceed max_steps before the first epoch.
+    lengths = [(min(s.n_steps, train_cfg.segment_length), s) for s in train_samples]
+    lengths += [(s.n_steps, s) for s in val_samples]
+    n_steps, longest = max(lengths, key=lambda pair: pair[0])
+    if n_steps > model_cfg.max_steps:
+        raise CapacityError(
+            f"sample {longest.sample_id}: sequence of {n_steps} steps exceeds "
+            f"max_steps={model_cfg.max_steps}"
+        )
 
     rng = Rng(train_cfg.seed)
     model = EmotionRegressor(model_cfg, rng.child("init"))

@@ -61,6 +61,8 @@ from emoreg.train import (
     train_run,
 )
 
+from oracles import decode_uncached
+
 GRAD_TOL = 1e-5
 BAND_TOL = 1e-9
 PERM_TOL = 1e-9
@@ -383,7 +385,7 @@ def test_criterion_2_architecture_invariants():
         assert pdiff < PERM_TOL, f"config {i}: permutation moved predictions by {pdiff:.2e}"
 
         # (d) cached vs uncached decode.
-        preds_u = model.decode_uncached(grouped)
+        preds_u = decode_uncached(model, grouped)
         cdiff = np.max(np.abs(preds_u.data - preds.data))
         assert cdiff < CACHE_TOL, f"config {i}: cache drift {cdiff:.2e}"
 

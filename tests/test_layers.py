@@ -193,7 +193,9 @@ class TestMultiHeadAttention:
         x = Tensor(self.rng.normal(0, 1, (1, 5, 8)))
         mask = np.zeros((5, 5))
         mask[:, 3] = -np.inf
-        weights = self.mha.attention_weights(x, x, mask).data
+        k, v = self.mha.project_kv(x)
+        _, probs = self.mha.attend(x, k, v, mask, return_probs=True)
+        weights = probs.data
         assert np.all(weights[..., 3] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -234,8 +236,10 @@ class TestTransformerLayers:
         k_cross, v_cross = layer.cross_attn.project_kv(
             Tensor(rng.normal(0, 1, (2, 4, 8)))
         )
-        out = layer.step(x_t, k_hist, v_hist, k_cross, v_cross)
+        out, cross_probs = layer.step(x_t, k_hist, v_hist, k_cross, v_cross)
         assert out.data.shape == (2, 1, 8)
+        assert cross_probs.data.shape == (2, 2, 1, 4)
+        np.testing.assert_allclose(cross_probs.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_decoder_step_gradients(self):
         rng = Rng(16)
@@ -247,7 +251,7 @@ class TestTransformerLayers:
         def f():
             k_h, v_h = layer.self_attn.project_kv(hist)
             k_c, v_c = layer.cross_attn.project_kv(cross)
-            out = layer.step(x_t, k_h, v_h, k_c, v_c)
+            out, _ = layer.step(x_t, k_h, v_h, k_c, v_c)
             return tz.tsum(out * out)
 
         params = dict(layer.parameters("dec"), x_t=x_t, hist=hist, cross=cross)
@@ -255,10 +259,7 @@ class TestTransformerLayers:
         assert report.max_rel_err < 1e-5, str(report)
 
     def test_dropout_only_in_training(self):
-        layer = ly.EncoderLayer(8, 2, 16, Rng(17))
-        layer.dropout_rate = 0.5
-        layer.attn.dropout_rate = 0.5
-        layer.ffn.dropout_rate = 0.5
+        layer = ly.EncoderLayer(8, 2, 16, Rng(17), dropout=0.5)
         x = Tensor(Rng(18).normal(0, 1, (1, 4, 8)))
         a = layer(x).data
         b = layer(x).data

@@ -10,6 +10,7 @@ from emoreg.errors import (
     CapacityError,
     ConfigError,
     ContractError,
+    DataLoadError,
     NoModalityError,
     ShapeError,
 )
@@ -21,6 +22,8 @@ from emoreg.model import (
     save_checkpoint,
 )
 from emoreg.tensor import Rng, Tape, Tensor, finite_difference_check
+
+from oracles import decode_uncached
 
 
 def tiny_config(**overrides):
@@ -182,7 +185,7 @@ class TestDecoderSemantics:
             model = EmotionRegressor(cfg, Rng(seed))
             enc = self.encoded(model, Rng(seed + 100), batch=2, steps=7)
             cached, _ = model.decode(enc)
-            uncached = model.decode_uncached(enc)
+            uncached = decode_uncached(model, enc)
             np.testing.assert_allclose(cached.data, uncached.data, atol=1e-10)
 
     def test_future_blindness_is_exact(self):
@@ -328,6 +331,18 @@ class TestCheckpoint:
         del params["start_vector"]
         with pytest.raises(ContractError):
             load_model_state(EmotionRegressor(cfg, Rng(20)), params)
+
+    def test_missing_config_is_a_load_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, **{"param/start_vector": np.zeros(8)})
+        with pytest.raises(DataLoadError, match="model.npz"):
+            load_checkpoint(path)
+
+    def test_config_not_json_is_a_load_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, config_json=np.array("{not json"))
+        with pytest.raises(DataLoadError, match="model.npz"):
+            load_checkpoint(path)
 
     def test_parameter_count(self):
         model = EmotionRegressor(tiny_config(), Rng(21))

@@ -8,7 +8,6 @@ from emoreg.errors import (
     ContractError,
     DegenerateTestError,
     InsufficientDataError,
-    NumericError,
     ShapeError,
 )
 from emoreg.tensor import Rng, Tape, Tensor, finite_difference_check
@@ -39,7 +38,7 @@ class TestCcc:
     def test_scale_offset_penalized(self):
         # Pearson is blind to affine distortion; CCC is not.
         x = Rng(2).normal(0, 1, (500,))
-        assert ob.pearson(2.0 * x + 3.0, x) == pytest.approx(1.0, abs=1e-12)
+        assert np.corrcoef(2.0 * x + 3.0, x)[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert ob.ccc(2.0 * x + 3.0, x) < 0.5
 
     def test_agrees_with_correlation_form(self):
@@ -70,15 +69,6 @@ class TestRmsePearson:
     def test_rmse_zero_on_match(self):
         x = Rng(4).normal(0, 1, (50,))
         assert ob.rmse(x, x) == 0.0
-
-    def test_pearson_zero_variance_raises(self):
-        with pytest.raises(NumericError):
-            ob.pearson(np.ones(10), np.arange(10.0))
-
-    def test_pearson_matches_numpy(self):
-        rng = Rng(5)
-        p, t = rng.normal(0, 1, (100,)), rng.normal(0, 1, (100,))
-        assert ob.pearson(p, t) == pytest.approx(np.corrcoef(p, t)[0, 1], abs=1e-12)
 
 
 class TestCccLoss:

@@ -17,7 +17,6 @@ from emoreg.tensor import (
     Tape,
     Tensor,
     finite_difference_check,
-    tensor_init,
 )
 
 FD_TOL = 1e-5
@@ -447,23 +446,6 @@ class TestRngAndInit:
         r1, r2 = Rng(5), Rng(5)
         r1.child("x")
         assert np.array_equal(r1.normal(0, 1, (8,)), r2.normal(0, 1, (8,)))
-
-    def test_init_schemes(self):
-        rng = Rng(0)
-        z = tensor_init((3, 3), "zeros")
-        assert np.array_equal(z.data, np.zeros((3, 3)))
-        n = tensor_init((1000,), "normal", rng, mean=2.0, std=0.5)
-        assert abs(n.data.mean() - 2.0) < 0.1
-        u = tensor_init((1000,), "uniform", rng, lo=-1.0, hi=1.0)
-        assert u.data.min() >= -1.0 and u.data.max() <= 1.0
-
-    def test_init_rejects_bad_shape_and_scheme(self):
-        with pytest.raises(ShapeError):
-            tensor_init((0, 3), "zeros")
-        with pytest.raises(ConfigError):
-            tensor_init((3,), "sparse", Rng(0))
-        with pytest.raises(ConfigError):
-            tensor_init((3,), "normal", Rng(0), std=-1.0)
 
     def test_finite_checks(self):
         t = Tensor(np.array([1.0, np.inf]))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from emoreg.data import SynthConfig, synth_generate
-from emoreg.errors import ConfigError, ContractError, InsufficientDataError
+from emoreg.errors import CapacityError, ConfigError, ContractError, InsufficientDataError
 from emoreg.model import EmotionRegressor, ModelConfig
 from emoreg.objective import MetricValue
 from emoreg.tensor import Rng, Tape, Tensor
 from emoreg import tensor as tz
+from emoreg import train as train_module
 from emoreg.train import (
     AdamOptimizer,
     Comparison,
@@ -247,6 +248,30 @@ class TestTrainRun:
             train_run(tiny_model_config(), tiny_train_config(), [], data["val"])
         with pytest.raises(InsufficientDataError):
             train_run(tiny_model_config(), tiny_train_config(), data["train"], [])
+
+    def test_capacity_checked_before_first_epoch(self, monkeypatch):
+        # 80-step validation samples exceed max_steps: fail before the model
+        # is built, not after an epoch of training.
+        built = []
+        monkeypatch.setattr(train_module, "EmotionRegressor", lambda *args: built.append(args))
+        data = tiny_data(seed=9)
+        logged = []
+        with pytest.raises(CapacityError, match="max_steps=60"):
+            train_run(tiny_model_config(max_steps=60), tiny_train_config(epochs=1),
+                      data["train"], data["val"], log=logged.append)
+        assert built == [] and logged == []
+
+    def test_long_training_samples_fit_as_segments(self):
+        # 80-step training samples run as 40-step segments, inside max_steps.
+        data = tiny_data(seed=9)
+        val = [
+            type(s)(s.sample_id, s.timestamps[:60],
+                    {m: x[:60] for m, x in s.features.items()}, s.labels[:60])
+            for s in data["val"]
+        ]
+        res = train_run(tiny_model_config(max_steps=60), tiny_train_config(epochs=1),
+                        data["train"], val)
+        assert len(res.history.epochs) == 1
 
 
 class TestEvaluate:
