@@ -11,6 +11,8 @@ without anyone noticing.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .data import SynthConfig
 from .errors import ConfigError
 from .model import ModelConfig
@@ -70,20 +72,13 @@ def parse_int_list(key: str, value: str) -> list:
     return [_as_int(key, v) for v in value.split(",")]
 
 
-_MODEL_SCALARS = {
-    "d_model": _as_int,
-    "enc_heads": _as_int,
-    "enc_layers": _as_int,
-    "dec_heads": _as_int,
-    "dec_layers": _as_int,
-    "conv_layers": _as_int,
-    "conv_kernel": _as_int,
-    "d_ffn": _as_int,
-    "head_hidden": _as_int,
-    "mask_length": _as_int,
-    "dropout": _as_float,
-    "max_steps": _as_int,
-}
+def _scalar_parsers(cls) -> dict:
+    """Value parser per int or float field of a config dataclass."""
+    kinds = {"int": _as_int, "float": _as_float}
+    return {f.name: kinds[f.type] for f in fields(cls) if f.type in kinds}
+
+
+_MODEL_SCALARS = _scalar_parsers(ModelConfig)
 
 
 def build_model_config(raw: dict, consumed: set) -> ModelConfig:
@@ -111,19 +106,7 @@ def build_model_config(raw: dict, consumed: set) -> ModelConfig:
     return ModelConfig(**kwargs)
 
 
-_TRAIN_SCALARS = {
-    "epochs": _as_int,
-    "batch_size": _as_int,
-    "learning_rate": _as_float,
-    "beta1": _as_float,
-    "beta2": _as_float,
-    "adam_eps": _as_float,
-    "halve_patience": _as_int,
-    "stop_patience": _as_int,
-    "segment_length": _as_int,
-    "segment_hop": _as_int,
-    "seed": _as_int,
-}
+_TRAIN_SCALARS = _scalar_parsers(TrainConfig)
 
 
 def build_train_config(raw: dict, consumed: set) -> TrainConfig:
@@ -145,16 +128,7 @@ def build_train_config(raw: dict, consumed: set) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-_SYNTH_SCALARS = {
-    "n_train": _as_int,
-    "n_val": _as_int,
-    "n_test": _as_int,
-    "n_steps": _as_int,
-    "n_components": _as_int,
-    "n_distractors": _as_int,
-    "freq_lo": _as_float,
-    "freq_hi": _as_float,
-}
+_SYNTH_SCALARS = _scalar_parsers(SynthConfig)
 
 
 def build_synth_config(raw: dict, consumed: set) -> SynthConfig:

@@ -20,6 +20,7 @@ linear read-out exists and modality informativeness is controlled exactly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -192,7 +193,7 @@ def synth_generate(config: SynthConfig, seed: int) -> dict:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -212,7 +213,7 @@ def write_dataset(root, split: str, samples):
         for m, x in sample.features.items():
             path = os.path.join(d, f"{m}.csv")
             if x is None:
-                with open(path, "w", newline="") as fh:
+                with open(path, "w", newline="", encoding="utf-8") as fh:
                     fh.write("timestamp\n")
                 continue
             header = ["timestamp"] + [f"f{j}" for j in range(x.shape[1])]
@@ -220,32 +221,38 @@ def write_dataset(root, split: str, samples):
 
 
 def _read_csv(path) -> tuple:
-    """Read a numeric CSV; returns (header, data array) or (header, None) if
-    the file holds no data rows.  NaN and infinite values are rejected."""
+    """Read a numeric UTF-8 CSV; returns (header, data array) or (header, None)
+    if the file holds no data rows.  NaN and infinite values are rejected."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        reader = csv.reader(io.StringIO(blob.decode("utf-8"), newline=""))
+        header = next(reader, None)
+        if header is None:
+            return [], None
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != len(header):
+                raise DataLoadError(
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
+                )
             try:
-                header = next(reader)
-            except StopIteration:
-                return [], None
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataLoadError(
-                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                    )
-                try:
-                    values = [float(v) for v in row]
-                except ValueError as exc:
-                    raise DataLoadError(f"{path}:{lineno}: {exc}") from None
-                if not all(map(math.isfinite, values)):
-                    raise DataLoadError(f"{path}:{lineno}: non-finite value in {row}")
-                rows.append(values)
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise DataLoadError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DataLoadError(f"{path}:{lineno}: non-finite value in {row}")
+            rows.append(values)
     except OSError as exc:
         raise DataLoadError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise DataLoadError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataLoadError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         return header, None
     return header, np.asarray(rows, dtype=np.float64)

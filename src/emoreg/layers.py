@@ -1,7 +1,9 @@
 """Neural building blocks: attention, convolution stacks, transformer layers.
 
-All layer forwards take and return batched 3-D tensors [batch, steps, width]
-(attention internals expand to [batch, heads, steps, head_width]).  Modules
+All layer forwards take and return batched token-major 3-D tensors
+[batch, steps, width]; attention heads are split only inside the fused
+``tensor.attention`` / ``tensor.local_attention`` nodes, and every residual
+exit is one ``tensor.add_norm`` node.  Modules
 expose their parameters through ``parameters(prefix)``, which yields a flat
 name -> Tensor mapping used by the optimizer, checkpointing, and gradient
 checking.
@@ -37,13 +39,17 @@ class Linear:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
-class LayerNorm:
-    def __init__(self, width: int):
+class AddNorm:
+    """Residual exit of a sublayer: layer_norm(x + dropout(y)), one tape node."""
+
+    def __init__(self, width: int, dropout: float = 0.0):
         self.gain = Tensor(np.ones(width), requires_grad=True)
         self.bias = Tensor(np.zeros(width), requires_grad=True)
+        self.dropout_rate = dropout
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return tz.layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, y: Tensor, training: bool = False,
+                 rng: Rng | None = None) -> Tensor:
+        return tz.add_norm(x, y, self.gain, self.bias, self.dropout_rate, rng, training)
 
     def parameters(self, prefix: str) -> dict:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
@@ -128,9 +134,11 @@ class EncodingTable:
 class MultiHeadAttention:
     """Scaled dot-product attention with per-head projections.
 
-    Exposes a one-shot ``__call__`` for full-sequence attention and a split
-    API (``project_kv`` / ``attend``) so incremental decoding can cache key
-    and value projections instead of recomputing them each step.
+    Tensors stay token-major [batch, tokens, width]; ``tz.attention`` and
+    ``tz.local_attention`` split heads inside their one node.  Exposes a
+    one-shot ``__call__`` for full-sequence attention and a split API
+    (``project_kv`` / ``attend``) so incremental decoding can cache key and
+    value projections instead of recomputing them each step.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: Rng, dropout: float = 0.0):
@@ -139,35 +147,20 @@ class MultiHeadAttention:
                 f"model width {d_model} not divisible by {n_heads} heads"
             )
         self.n_heads = n_heads
-        self.d_model = d_model
-        self.d_head = d_model // n_heads
         self.wq = Linear(d_model, d_model, rng)
         self.wk = Linear(d_model, d_model, rng)
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
         self.dropout_rate = dropout
 
-    def _split(self, x: Tensor) -> Tensor:
-        b, s, _ = x.data.shape
-        x = tz.reshape(x, (b, s, self.n_heads, self.d_head))
-        return tz.transpose(x, (0, 2, 1, 3))
-
-    def _merge(self, x: Tensor) -> Tensor:
-        b, _, s, _ = x.data.shape
-        x = tz.transpose(x, (0, 2, 1, 3))
-        return tz.reshape(x, (b, s, self.d_model))
-
-    def project_q(self, x: Tensor) -> Tensor:
-        return self._split(self.wq(x))
-
     def project_kv(self, x: Tensor) -> tuple:
-        return self._split(self.wk(x)), self._split(self.wv(x))
+        return self.wk(x), self.wv(x)
 
     def attend(
         self,
         q_src: Tensor,
-        k_heads: Tensor,
-        v_heads: Tensor,
+        k: Tensor,
+        v: Tensor,
         additive_mask=None,
         training: bool = False,
         rng: Rng | None = None,
@@ -176,29 +169,26 @@ class MultiHeadAttention:
     ):
         """Attend from ``q_src`` to projected keys and values.
 
-        ``band = (n_mod, mask_length)`` marks a time-major self-attention
-        sequence and routes to ``tz.local_attention``, which confines each
-        token to steps within ``mask_length`` of its own; weights are then not
-        returned, and ``additive_mask`` must be None.
+        ``return_probs`` also returns the pre-dropout weights
+        [batch, heads, queries, keys] as an array.  ``band = (n_mod,
+        mask_length)`` marks a time-major self-attention sequence and routes
+        to ``tz.local_attention``, which confines each token to steps within
+        ``mask_length`` of its own; weights are then not returned, and
+        ``additive_mask`` must be None.
         """
-        q = self.project_q(q_src)
+        q = self.wq(q_src)
         if band is not None:
             if additive_mask is not None or return_probs:
                 raise ContractError("banded attention takes no additive mask or return_probs")
             n_mod, mask_length = band
             mixed = tz.local_attention(
-                q, k_heads, v_heads, n_mod, mask_length, self.dropout_rate, rng, training
+                q, k, v, self.n_heads, n_mod, mask_length, self.dropout_rate, rng, training
             )
-            return self.wo(self._merge(mixed))
-        scores = tz.scaled_dot_scores(
-            q, k_heads, 1.0 / math.sqrt(self.d_head), additive_mask
+            return self.wo(mixed)
+        mixed, probs = tz.attention(
+            q, k, v, self.n_heads, self.dropout_rate, rng, training, additive_mask
         )
-        probs = tz.softmax(scores, axis=-1)
-        dropped = tz.dropout(probs, self.dropout_rate, rng, training)
-        out = self.wo(self._merge(tz.matmul(dropped, v_heads)))
-        if return_probs:
-            return out, probs
-        return out
+        return (self.wo(mixed), probs) if return_probs else self.wo(mixed)
 
     def __call__(
         self,
@@ -244,9 +234,8 @@ class EncoderLayer:
                  dropout: float = 0.0):
         self.attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
         self.ffn = FeedForward(d_model, d_ffn, rng, dropout)
-        self.norm1 = LayerNorm(d_model)
-        self.norm2 = LayerNorm(d_model)
-        self.dropout_rate = dropout
+        self.norm1 = AddNorm(d_model, dropout)
+        self.norm2 = AddNorm(d_model, dropout)
 
     def __call__(
         self, x: Tensor, band: tuple | None = None, training: bool = False,
@@ -255,9 +244,8 @@ class EncoderLayer:
         """``band = (n_mod, mask_length)`` confines self-attention over a
         time-major token sequence to a temporal band; None attends to all."""
         a = self.attn(x, x, None, training, rng, band=band)
-        h = self.norm1(x + tz.dropout(a, self.dropout_rate, rng, training))
-        f = self.ffn(h, training, rng)
-        return self.norm2(h + tz.dropout(f, self.dropout_rate, rng, training))
+        h = self.norm1(x, a, training, rng)
+        return self.norm2(h, self.ffn(h, training, rng), training, rng)
 
     def parameters(self, prefix: str) -> dict:
         out = self.attn.parameters(f"{prefix}.attn")
@@ -282,10 +270,9 @@ class DecoderLayer:
         self.self_attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
         self.cross_attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
         self.ffn = FeedForward(d_model, d_ffn, rng, dropout)
-        self.norm1 = LayerNorm(d_model)
-        self.norm2 = LayerNorm(d_model)
-        self.norm3 = LayerNorm(d_model)
-        self.dropout_rate = dropout
+        self.norm1 = AddNorm(d_model, dropout)
+        self.norm2 = AddNorm(d_model, dropout)
+        self.norm3 = AddNorm(d_model, dropout)
 
     def step(
         self,
@@ -299,17 +286,16 @@ class DecoderLayer:
     ) -> tuple:
         """One decode step; history tensors already include the current step.
 
-        Returns the layer output and the cross-attention weights
+        Returns the layer output and the cross-attention weights, an array
         [batch, heads, 1, n_cross].
         """
         a = self.self_attn.attend(x_t, k_hist, v_hist, None, training, rng)
-        h1 = self.norm1(x_t + tz.dropout(a, self.dropout_rate, rng, training))
+        h1 = self.norm1(x_t, a, training, rng)
         c, cross_probs = self.cross_attn.attend(
             h1, k_cross, v_cross, None, training, rng, return_probs=True
         )
-        h2 = self.norm2(h1 + tz.dropout(c, self.dropout_rate, rng, training))
-        f = self.ffn(h2, training, rng)
-        out = self.norm3(h2 + tz.dropout(f, self.dropout_rate, rng, training))
+        h2 = self.norm2(h1, c, training, rng)
+        out = self.norm3(h2, self.ffn(h2, training, rng), training, rng)
         return out, cross_probs
 
     def parameters(self, prefix: str) -> dict:

@@ -17,8 +17,12 @@ step's per-modality encoder outputs, and a feed-forward block; a small
 regression head maps the top-layer feature to the predicted value.  Decoding
 is free-running: gradients flow through the whole unrolled sequence.
 
-``decode`` keeps per-layer self-attention key/value caches and runs
-``DecoderLayer.step`` once per layer and step.
+``decode`` keeps per-layer token-major self-attention key/value caches and
+runs ``DecoderLayer.step`` once per layer and step: each attention is one
+``tensor.attention`` node and each residual exit one ``tensor.add_norm`` node.
+Rows of a batch are decoded independently, so encodings of different
+modality patterns with the same modality count can share one decode loop;
+importance is therefore reported per row.
 """
 
 from __future__ import annotations
@@ -207,13 +211,11 @@ class EmotionRegressor:
     ) -> tuple:
         """Free-running cached decode.
 
-        Returns (predictions [batch, steps], importance [n_mod] or None).
-        Importance is the mean cross-attention weight each modality receives,
-        averaged over steps, batch, heads, and decoder layers.
+        Returns (predictions [batch, steps], importance [batch, n_mod] or
+        None).  A row's importance is the mean cross-attention weight each
+        modality receives, averaged over steps, heads, and decoder layers.
         """
-        c = self.config
         b, n_steps, n_mod, d = encoded.data.shape
-        n_heads, d_head = c.dec_heads, d // c.dec_heads
         # Cross-attention K/V for all steps, projected once per layer from the
         # step-major flattening: the M tokens of step t sit at [t*M, (t+1)*M).
         cross = [
@@ -221,17 +223,14 @@ class EmotionRegressor:
             for layer in self.decoder
         ]
         caches = [
-            (
-                SequenceCache((b, n_heads), n_steps, d_head),
-                SequenceCache((b, n_heads), n_steps, d_head),
-            )
+            (SequenceCache((b,), n_steps, d), SequenceCache((b,), n_steps, d))
             for _ in self.decoder
         ]
         x = Tensor(np.zeros((b, 1, d))) + self.start_vector + self.dec_positions.rows(0, 1)
         outputs = []
-        importance = np.zeros(n_mod) if collect_importance else None
+        importance = np.zeros((b, n_mod)) if collect_importance else None
         for t in range(n_steps):
-            sl = (slice(None), slice(None), slice(t * n_mod, (t + 1) * n_mod))
+            sl = (slice(None), slice(t * n_mod, (t + 1) * n_mod))
             h = x
             for layer, (kc, vc), (k_all, v_all) in zip(self.decoder, caches, cross):
                 k_row, v_row = layer.self_attn.project_kv(h)
@@ -241,7 +240,7 @@ class EmotionRegressor:
                     h, kc.read(), vc.read(), k_all[sl], v_all[sl], training, rng
                 )
                 if collect_importance:
-                    importance += cross_probs.data.mean(axis=(0, 1, 2))
+                    importance += cross_probs.mean(axis=(1, 2))
             outputs.append(h)
             if t + 1 < n_steps:
                 x = h + self.dec_positions.rows(t + 1, 1)
@@ -261,7 +260,7 @@ class EmotionRegressor:
         collect_importance: bool = False,
     ) -> tuple:
         """Full pass: returns (predictions [batch, steps], present modalities,
-        importance per present modality or None)."""
+        importance [batch, n_present] or None)."""
         encoded, present = self.encode(features, training, rng)
         preds, importance = self.decode(encoded, training, rng, collect_importance)
         return preds, present, importance

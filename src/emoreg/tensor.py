@@ -377,14 +377,20 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
-    """Inverted dropout: train-time rescale by 1/(1-rate); eval is identity."""
+def _dropout_on(rate: float, rng: Rng | None, training: bool) -> bool:
+    """Validate a dropout setting; True when a mask must be drawn."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return a
-    if rng is None:
+    drop = training and rate > 0.0
+    if drop and rng is None:
         raise ConfigError("training-mode dropout requires an Rng")
+    return drop
+
+
+def dropout(a: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
+    """Inverted dropout: train-time rescale by 1/(1-rate); eval is identity."""
+    if not _dropout_on(rate, rng, training):
+        return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     tape = _recording(a)
     out = _result(a.data * keep, tape)
@@ -393,54 +399,39 @@ def dropout(a: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv
-    tape = _recording(x, gain, bias)
-    out = _result(xn * gain.data + bias.data, tape)
+def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
+             rng: Rng | None, training: bool) -> Tensor:
+    """Residual exit of a sublayer as one node: ``layer_norm(x + dropout(y))``.
+
+    ``y`` gets inverted dropout at ``rate`` in training; the sum is
+    normalized over the last axis to zero mean and unit variance (variance
+    offset 1e-5), then scaled by ``gain`` and shifted by ``bias``.
+    """
+    keep = None
+    if _dropout_on(rate, rng, training):
+        keep = (rng.random(y.data.shape) >= rate) / (1.0 - rate)
+    s = x.data + (y.data if keep is None else y.data * keep)
+    mu = s.mean(axis=-1, keepdims=True)
+    sc = s - mu
+    var = (sc * sc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    sn = sc * inv
+    tape = _recording(x, y, gain, bias)
+    out = _result(sn * gain.data + bias.data, tape)
     if tape is not None:
 
         def bw(g):
-            _add_grad(gain, g * xn)
+            _add_grad(gain, g * sn)
             _add_grad(bias, g)
-            gxn = g * gain.data
-            m1 = gxn.mean(axis=-1, keepdims=True)
-            m2 = (gxn * xn).mean(axis=-1, keepdims=True)
-            _add_grad(x, inv * (gxn - m1 - xn * m2))
+            gsn = g * gain.data
+            m1 = gsn.mean(axis=-1, keepdims=True)
+            m2 = (gsn * sn).mean(axis=-1, keepdims=True)
+            gs = inv * (gsn - m1 - sn * m2)
+            _add_grad(x, gs)
+            _add_grad(y, gs if keep is None else gs * keep)
 
-        tape.record(out, bw, "layer_norm")
+        tape.record(out, bw, "add_norm")
     return out
-
-
-def softmax(x: Tensor, axis: int = -1, additive_mask=None) -> Tensor:
-    """Stable softmax along ``axis``; masked (-inf) entries come out exactly 0."""
-    z = x.data if additive_mask is None else x.data + _mask_data(additive_mask)
-    m = z.max(axis=axis, keepdims=True)
-    if np.isneginf(m).any():
-        raise DegenerateAttentionError("softmax slice is fully masked")
-    e = np.exp(z - m)
-    s = e.sum(axis=axis, keepdims=True)
-    y = e / s
-    tape = _recording(x)
-    out = _result(y, tape)
-    if tape is not None:
-
-        def bw(g):
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            _add_grad(x, y * (g - inner))
-
-        tape.record(out, bw, "softmax")
-    return out
-
-
-def _mask_data(mask):
-    return mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -489,31 +480,115 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def scaled_dot_scores(q: Tensor, k: Tensor, scale: float, additive_mask=None) -> Tensor:
-    """Fused attention logits: ``(q @ k^T) * scale + mask``.
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """View token-major [batch, tokens, width] as [batch, heads, tokens, width / heads]."""
+    b, n, d = x.shape
+    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
-    The mask is a constant (no gradient); keeping scale and mask inside one
-    node avoids materializing two extra score-sized arrays on the tape.
+
+def _block_forward(qd, k, v, mask, rate: float, rng: Rng | None, out) -> tuple:
+    """Attention of one block of pre-scaled queries against its keys.
+
+    Weights are softmax(qd k^T + mask); when ``rng`` is given they get
+    inverted dropout at ``rate`` before the weighted sum of ``v`` is written
+    to ``out``.  Returns the weights and the boolean keep mask (or None).
     """
-    if q.data.shape[-1] != k.data.shape[-1]:
+    p = np.matmul(qd, np.swapaxes(k, -1, -2))
+    if mask is not None:
+        p += mask
+    m = p.max(axis=-1, keepdims=True)
+    if mask is not None and np.isneginf(m).any():
+        raise DegenerateAttentionError("attention row is fully masked")
+    p -= m
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    keep = None if rng is None else rng.random(p.shape) >= rate
+    np.matmul(p if keep is None else p * keep * (1.0 / (1.0 - rate)), v, out=out)
+    return p, keep
+
+
+def _block_backward(g, qd, k, v, p, keep, rate: float) -> tuple:
+    """Gradients (gq, gk, gv) of one block's output; gq is taken with respect
+    to the pre-scaled queries ``qd``, so it still lacks the query scale."""
+    inv_keep = 1.0 / (1.0 - rate)
+    pd = p if keep is None else p * keep * inv_keep
+    gv = np.matmul(np.swapaxes(pd, -1, -2), g)
+    gp = np.matmul(g, np.swapaxes(v, -1, -2))
+    if keep is not None:
+        gp *= keep
+        gp *= inv_keep
+    gp -= (gp * p).sum(axis=-1, keepdims=True)
+    gp *= p
+    return np.matmul(gp, k), np.matmul(np.swapaxes(gp, -1, -2), qd), gv
+
+
+def _blockwise_attention(q, k, v, n_heads, rate, rng, training, blocks, name) -> tuple:
+    """The node behind ``attention`` and ``local_attention``: runs the block
+    forward over ``blocks``, (query slice, key slice, additive mask or None)
+    triples over tokens, and records one backward for all of them.  Returns
+    (output, weights of the last block)."""
+    drop = _dropout_on(rate, rng, training)
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    if (
+        len(qs) != 3 or len(ks) != 3 or len(vs) != 3 or qs[0] != ks[0] or ks[:2] != vs[:2]
+        or qs[-1] != ks[-1] or n_heads < 1 or qs[-1] % n_heads or vs[-1] % n_heads
+    ):
         raise ShapeError(
-            f"attention head widths disagree: {q.data.shape} vs {k.data.shape}"
+            f"attention needs token-major [batch, tokens, width] q/k/v whose widths "
+            f"split into {n_heads} heads, got {qs}, {ks}, {vs}"
         )
-    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    s *= scale
-    if additive_mask is not None:
-        s += _mask_data(additive_mask)
-    tape = _recording(q, k)
-    out = _result(s, tape)
+    scale = 1.0 / math.sqrt(qs[-1] // n_heads)
+    qd = _heads(q.data, n_heads) * scale  # cheaper than scaling every score block
+    kh, vh = _heads(k.data, n_heads), _heads(v.data, n_heads)
+    y = np.empty((qs[0], qs[1], n_heads, vs[-1] // n_heads), dtype=np.float64)
+    yh = y.transpose(0, 2, 1, 3)
+    tape = _recording(q, k, v)
+    saved = []
+    for qsl, ksl, mask in blocks:
+        p, keep = _block_forward(
+            qd[..., qsl, :], kh[..., ksl, :], vh[..., ksl, :], mask, rate,
+            rng if drop else None, yh[..., qsl, :],
+        )
+        if tape is not None:
+            saved.append((qsl, ksl, p, keep))
+    out = _result(y.reshape(qs[0], qs[1], -1), tape)
     if tape is not None:
 
         def bw(g):
-            gs = g * scale
-            _add_grad(q, np.matmul(gs, k.data))
-            _add_grad(k, np.matmul(np.swapaxes(gs, -1, -2), q.data))
+            gh = _heads(g, n_heads)
+            grads = [np.zeros(t.data.shape) for t in (q, k, v)]
+            gqh, gkh, gvh = (_heads(x, n_heads) for x in grads)
+            for qsl, ksl, p, keep in saved:
+                dq, dk, dv = _block_backward(
+                    gh[..., qsl, :], qd[..., qsl, :], kh[..., ksl, :], vh[..., ksl, :],
+                    p, keep, rate,
+                )
+                gvh[..., ksl, :] += dv
+                gqh[..., qsl, :] += dq
+                gkh[..., ksl, :] += dk
+            grads[0] *= scale
+            for t, gt in zip((q, k, v), grads):
+                _add_grad(t, gt)
 
-        tape.record(out, bw, "scaled_dot_scores")
-    return out
+        tape.record(out, bw, name)
+    return out, p
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float,
+              rng: Rng | None, training: bool, additive_mask=None) -> tuple:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q`` is [batch, queries, width] and ``k``/``v`` are [batch, keys, width]
+    (token-major); heads are split inside as views.  Per head the weights are
+    softmax(q k^T / sqrt(width / n_heads) + additive_mask), with inverted
+    dropout at ``rate`` on the weights in training; the weighted sums of
+    values are merged back to [batch, queries, width].  A mask row of all
+    -inf raises ``DegenerateAttentionError``.  Returns (output, weights), the
+    weights being the pre-dropout [batch, heads, queries, keys] array.
+    """
+    mask = None if additive_mask is None else np.asarray(additive_mask, dtype=np.float64)
+    whole = [(slice(None), slice(None), mask)]
+    return _blockwise_attention(q, k, v, n_heads, rate, rng, training, whole, "attention")
 
 
 def _chunk_steps(mask_length: int) -> int:
@@ -526,100 +601,50 @@ def _chunk_steps(mask_length: int) -> int:
     return max(16, mask_length // 2)
 
 
-def local_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    n_mod: int,
-    mask_length: int,
-    rate: float,
-    rng: Rng | None,
-    training: bool,
-) -> Tensor:
-    """Band-limited self-attention over a time-major token sequence.
-
-    ``q`` and ``k`` are [batch, heads, steps * n_mod, width] and ``v`` is
-    [batch, heads, steps * n_mod, v_width]; token ``t * n_mod + m`` holds
-    modality m at step t.  Query token i attends to key token j exactly when
-    their steps satisfy ``|t_i - t_j| <= mask_length``, with weights
-    softmax(q k^T / sqrt(width)), inverted dropout at ``rate`` on the weights
-    in training, and the weighted sum of values as output.
-
-    The work is blockwise: each chunk of C query steps starting at t0 meets
-    only the key window [t0 - mask_length, t0 + C + mask_length), clipped to
-    the sequence, so time and memory grow linearly in steps.  Dropout is drawn
-    over each window only.  Under a tape, each chunk's weights and a boolean
-    keep mask are saved for the hand-written backward; without one, nothing
-    outlives its chunk.
-    """
-    if mask_length < 0:
-        raise ConfigError(f"mask_length must be >= 0, got {mask_length}")
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    drop = training and rate > 0.0
-    if drop and rng is None:
-        raise ConfigError("training-mode dropout requires an Rng")
-    if q.data.ndim != 4 or q.data.shape != k.data.shape or k.data.shape[:-1] != v.data.shape[:-1]:
-        raise ShapeError(
-            f"local attention needs matching [batch, heads, tokens, width] q/k/v, "
-            f"got {q.data.shape}, {k.data.shape}, {v.data.shape}"
-        )
-    n_tok = q.data.shape[-2]
-    if n_mod < 1 or n_tok % n_mod:
-        raise ShapeError(f"{n_tok} tokens do not split into steps of {n_mod} modalities")
-    n_steps = n_tok // n_mod
-    scale = 1.0 / math.sqrt(q.data.shape[-1])
-    qd = q.data * scale  # scaling q is cheaper than scaling every score block
-    inv_keep = 1.0 / (1.0 - rate)
+def _band_blocks(n_steps: int, n_mod: int, mask_length: int):
+    """(query tokens, key tokens, mask) per chunk of ``_chunk_steps`` query
+    steps: the key window reaches ``mask_length`` steps either side, and -inf
+    masks the window corners that lie outside the band."""
+    masks = {}  # by window geometry; interior chunks share one
     chunk = _chunk_steps(mask_length)
-    tape = _recording(q, k, v)
-    y = np.empty(q.data.shape[:-1] + v.data.shape[-1:], dtype=np.float64)
-    saved = []
-    masks = {}  # additive -inf masks by window geometry; interior chunks share one
     for t0 in range(0, n_steps, chunk):
         t1 = min(t0 + chunk, n_steps)
         lo, hi = max(0, t0 - mask_length), min(n_steps, t1 + mask_length)
-        qs, ks = slice(t0 * n_mod, t1 * n_mod), slice(lo * n_mod, hi * n_mod)
-        p = np.matmul(qd[..., qs, :], np.swapaxes(k.data[..., ks, :], -1, -2))
-        if max(t1 - 1 - lo, hi - 1 - t0) > mask_length:  # window corners lie outside the band
-            key = (t0 - lo, t1 - t0, hi - lo)
-            if key not in masks:
-                tq = np.repeat(np.arange(t0, t1), n_mod)
-                tk = np.repeat(np.arange(lo, hi), n_mod)
-                far = np.abs(tq[:, None] - tk[None, :]) > mask_length
-                masks[key] = np.where(far, -np.inf, 0.0)
-            p += masks[key]
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        keep = rng.random(p.shape) >= rate if drop else None
-        pd = p if keep is None else p * keep * inv_keep
-        np.matmul(pd, v.data[..., ks, :], out=y[..., qs, :])
-        if tape is not None:
-            saved.append((qs, ks, p, keep))
-    out = _result(y, tape)
-    if tape is not None:
+        key = (t0 - lo, t1 - t0, hi - lo)
+        if key not in masks and max(t1 - 1 - lo, hi - 1 - t0) > mask_length:
+            tq = np.repeat(np.arange(t0, t1), n_mod)
+            tk = np.repeat(np.arange(lo, hi), n_mod)
+            masks[key] = np.where(np.abs(tq[:, None] - tk[None, :]) > mask_length, -np.inf, 0.0)
+        yield slice(t0 * n_mod, t1 * n_mod), slice(lo * n_mod, hi * n_mod), masks.get(key)
 
-        def bw(g):
-            gq, gk, gv = (np.zeros_like(t.data) for t in (q, k, v))
-            for qs, ks, p, keep in saved:
-                gc = g[..., qs, :]
-                pd = p if keep is None else p * keep * inv_keep
-                gv[..., ks, :] += np.matmul(np.swapaxes(pd, -1, -2), gc)
-                gp = np.matmul(gc, np.swapaxes(v.data[..., ks, :], -1, -2))
-                if keep is not None:
-                    gp *= keep
-                    gp *= inv_keep
-                gp -= (gp * p).sum(axis=-1, keepdims=True)
-                gp *= p
-                gq[..., qs, :] += np.matmul(gp, k.data[..., ks, :])
-                gk[..., ks, :] += np.matmul(np.swapaxes(gp, -1, -2), qd[..., qs, :])
-            gq *= scale
-            _add_grad(q, gq)
-            _add_grad(k, gk)
-            _add_grad(v, gv)
 
-        tape.record(out, bw, "local_attention")
+def local_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, n_mod: int,
+                    mask_length: int, rate: float, rng: Rng | None, training: bool) -> Tensor:
+    """Band-limited multi-head self-attention over a time-major token sequence.
+
+    ``q``, ``k`` and ``v`` are token-major [batch, steps * n_mod, width], as
+    for ``attention``; token ``t * n_mod + m`` holds modality m at step t.
+    Query token i attends to key token j exactly when their steps satisfy
+    ``|t_i - t_j| <= mask_length``; weights, dropout and output are those of
+    ``attention``, with the same block forward and backward.
+
+    The work is blockwise (``_band_blocks``), so time and memory grow linearly
+    in steps, and dropout is drawn over each key window only.  Under a tape,
+    each chunk's weights and a boolean keep mask are saved for the backward;
+    without one, nothing outlives its chunk.
+    """
+    if mask_length < 0:
+        raise ConfigError(f"mask_length must be >= 0, got {mask_length}")
+    if q.data.shape != k.data.shape or q.data.ndim != 3:
+        raise ShapeError(f"local attention needs equal [batch, tokens, width] q/k, "
+                         f"got {q.data.shape}, {k.data.shape}")
+    n_tok = q.data.shape[1]
+    if n_mod < 1 or n_tok % n_mod:
+        raise ShapeError(f"{n_tok} tokens do not split into steps of {n_mod} modalities")
+    blocks = _band_blocks(n_tok // n_mod, n_mod, mask_length)
+    out, _ = _blockwise_attention(
+        q, k, v, n_heads, rate, rng, training, blocks, "local_attention"
+    )
     return out
 
 

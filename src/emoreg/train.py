@@ -13,12 +13,11 @@ Holm-Bonferroni correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import objective as ob
-from . import tensor as tz
 from .data import (
     EliminationPolicy,
     collate,
@@ -151,12 +150,7 @@ class RunHistory:
     stopped_early: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_val_ccc": self.best_val_ccc,
-            "stopped_early": self.stopped_early,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -186,60 +180,77 @@ def _restrict(features: dict, keep) -> dict:
     return {m: (x if m in keep else None) for m, x in features.items()}
 
 
+def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets,
+                      collect_importance: bool) -> list:
+    """One ``EvalResult`` per entry of ``subsets`` (``use_modalities`` values).
+
+    Samples sharing a length and an availability pattern are encoded as one
+    batch; encodings sharing a length and a modality count, across subsets
+    too, are stacked and decoded in one loop before the next stack is encoded.
+    """
+    if not samples:
+        raise InsufficientDataError("evaluate called with no samples")
+    mods = model.config.modalities
+    ordered = sorted(samples, key=lambda s: s.sample_id)
+    normed = [normalize_features(s.features, norm_stats) for s in ordered]
+    jobs = [(s, _restrict(f, keep)) for keep in subsets for s, f in zip(ordered, normed)]
+    stacks = {}
+    for i, (s, feats) in enumerate(jobs):
+        pattern = tuple(m for m in mods if feats.get(m) is not None)
+        stacks.setdefault((s.n_steps, len(pattern)), {}).setdefault(pattern, []).append(i)
+    preds, imps = [None] * len(jobs), [None] * len(jobs)
+    for _, groups in sorted(stacks.items()):
+        rows, parts = [], []
+        for pattern, indices in sorted(groups.items()):
+            batch = {
+                m: np.stack([jobs[i][1][m] for i in indices]) if m in pattern else None
+                for m in mods
+            }
+            encoded, present = model.encode(batch)
+            parts.append(encoded.data)
+            rows += [(i, present) for i in indices]
+        stacked = Tensor(np.concatenate(parts))
+        del encoded, parts  # hold only the stacked copy while decoding,
+        out, imp = model.decode(stacked, collect_importance=collect_importance)
+        del stacked  # and none of it while encoding the next stack
+        for r, (i, present) in enumerate(rows):
+            preds[i] = out.data[r]
+            if imp is not None:
+                imps[i] = dict(zip(present, imp[r]))
+    truth = np.concatenate([s.labels for s in ordered])
+    results = []
+    for lo in range(0, len(jobs), len(ordered)):
+        row_preds = preds[lo : lo + len(ordered)]
+        flat = np.concatenate(row_preds)
+        importance = None
+        if collect_importance:
+            weights = {}
+            for row_imp in imps[lo : lo + len(ordered)]:
+                for m, w in row_imp.items():
+                    weights.setdefault(m, []).append(w)
+            importance = {m: sum(ws) / len(ws) for m, ws in weights.items()}
+        results.append(EvalResult(
+            ccc=ob.ccc(flat, truth),
+            rmse=ob.rmse(flat, truth),
+            per_sample_ccc={s.sample_id: ob.ccc(p, s.labels) for s, p in zip(ordered, row_preds)},
+            predictions={s.sample_id: p for s, p in zip(ordered, row_preds)},
+            importance=importance,
+        ))
+    return results
+
+
 def evaluate(model: EmotionRegressor, samples, norm_stats: dict,
              use_modalities=None, collect_importance: bool = False) -> EvalResult:
     """Run the model over whole sequences and score globally.
 
     ``use_modalities`` restricts the available streams (simulating missing
     modalities); CCC/RMSE are computed over the concatenation of all
-    predictions in sample-id order.
+    predictions in sample-id order.  Importance averages each sample's
+    cross-attention weights over the samples that have the modality.
     """
-    if not samples:
-        raise InsufficientDataError("evaluate called with no samples")
-    ordered = sorted(samples, key=lambda s: s.sample_id)
-    prepared = []
-    for s in ordered:
-        feats = _restrict(normalize_features(s.features, norm_stats), use_modalities)
-        pattern = tuple(m for m in model.config.modalities if feats.get(m) is not None)
-        prepared.append((s, feats, pattern))
-    # Batch samples sharing length and availability pattern.
-    groups = {}
-    for idx, (s, feats, pattern) in enumerate(prepared):
-        groups.setdefault((s.n_steps, pattern), []).append(idx)
-    predictions = {}
-    imp_sum, imp_n = {}, {}
-    for (n_steps, pattern), indices in sorted(groups.items()):
-        batch = {
-            m: (
-                np.stack([prepared[i][1][m] for i in indices])
-                if m in pattern else None
-            )
-            for m in model.config.modalities
-        }
-        preds, present, imp = model.forward(
-            batch, collect_importance=collect_importance
-        )
-        for row, i in enumerate(indices):
-            predictions[prepared[i][0].sample_id] = preds.data[row]
-        if collect_importance and imp is not None:
-            for m, w in zip(present, imp):
-                imp_sum[m] = imp_sum.get(m, 0.0) + w * len(indices)
-                imp_n[m] = imp_n.get(m, 0) + len(indices)
-    flat_pred = np.concatenate([predictions[s.sample_id] for s in ordered])
-    flat_truth = np.concatenate([s.labels for s in ordered])
-    per_sample = {
-        s.sample_id: ob.ccc(predictions[s.sample_id], s.labels) for s in ordered
-    }
-    importance = None
-    if collect_importance:
-        importance = {m: imp_sum[m] / imp_n[m] for m in imp_sum}
-    return EvalResult(
-        ccc=ob.ccc(flat_pred, flat_truth),
-        rmse=ob.rmse(flat_pred, flat_truth),
-        per_sample_ccc=per_sample,
-        predictions=predictions,
-        importance=importance,
-    )
+    return _evaluate_subsets(
+        model, samples, norm_stats, [use_modalities], collect_importance
+    )[0]
 
 
 @dataclass
@@ -376,14 +387,21 @@ class AblationReport:
 
 
 def ablation_study(model: EmotionRegressor, samples, norm_stats: dict) -> AblationReport:
-    """Evaluate the model under every non-empty subset of its modalities."""
+    """Evaluate the model under every non-empty subset of its modalities.
+
+    All subsets run in one ``_evaluate_subsets`` call, so subsets of equal
+    modality count share a decode loop; the importance is the full set's.
+    """
     mods = model.config.modalities
-    full = evaluate(model, samples, norm_stats, collect_importance=True)
-    subsets = {}
-    for bits in range(1, 2 ** len(mods)):
-        keep = tuple(m for i, m in enumerate(mods) if bits >> i & 1)
-        subsets[keep] = evaluate(model, samples, norm_stats, use_modalities=keep)
-    return AblationReport(subsets=subsets, importance=full.importance)
+    keeps = [
+        tuple(m for i, m in enumerate(mods) if bits >> i & 1)
+        for bits in range(1, 2 ** len(mods))
+    ]
+    results = _evaluate_subsets(model, samples, norm_stats, keeps, collect_importance=True)
+    importance = results[-1].importance  # the last subset is the full set
+    for res in results:
+        res.importance = None
+    return AblationReport(subsets=dict(zip(keeps, results)), importance=importance)
 
 
 def dominant_modality(importance: dict) -> str:
@@ -411,16 +429,7 @@ class Comparison:
     reject: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "label": self.label,
-            "metric": self.metric,
-            "alternative": self.alternative,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "adjusted_p": self.adjusted_p,
-            "reject": self.reject,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -133,20 +133,35 @@ def _primitive_cases():
 
     cases.append(("dropout", {"a": a}, f_dropout))
 
-    x = _param(rng, (2, 5, 6))
-    gain = Tensor(rng.uniform(0.5, 1.5, (6,)), requires_grad=True)
-    bias = _param(rng, (6,))
-    cases.append(
-        ("layer_norm", {"x": x, "gain": gain, "bias": bias},
-         lambda x=x, gain=gain, bias=bias: _sq(tz.layer_norm(x, gain, bias)))
-    )
+    for rate in (0.0, 0.35):
+        x, y = _param(rng, (2, 5, 6)), _param(rng, (2, 5, 6))
+        gain = Tensor(rng.uniform(0.5, 1.5, (6,)), requires_grad=True)
+        bias = _param(rng, (6,))
 
-    x = _param(rng, (2, 4, 5))
-    mask = np.where(Rng(9).random((4, 5)) < 0.3, -2.5, 0.0)
-    cases.append(
-        ("softmax", {"x": x},
-         lambda x=x: _sq(tz.softmax(x, axis=-1, additive_mask=mask)))
-    )
+        def f_add_norm(x=x, y=y, gain=gain, bias=bias, rate=rate):
+            return _sq(tz.add_norm(x, y, gain, bias, rate, Rng(57), training=True))
+
+        cases.append((f"add_norm[dropout={rate}]",
+                      {"x": x, "y": y, "gain": gain, "bias": bias}, f_add_norm))
+
+    # Fused multi-head attention: the decode shape (one query against seven
+    # keys) with two heads and dropout, a causal -inf mask with dropout, and
+    # one head under a finite additive mask.
+    causal = np.where(np.arange(5)[:, None] >= np.arange(5)[None, :], 0.0, -np.inf)
+    for label, n_q, n_k, n_heads, mask, rate in (
+        ("decode,heads=2", 1, 7, 2, None, 0.3),
+        ("causal,heads=2", 5, 5, 2, causal, 0.3),
+        ("masked,heads=1", 3, 5, 1, np.where(Rng(10).random((3, 5)) < 0.3, -2.5, 0.0), 0.0),
+    ):
+        q, k = _param(rng, (2, n_q, 4)), _param(rng, (2, n_k, 4))
+        v = _param(rng, (2, n_k, 6))
+
+        def f_attention(q=q, k=k, v=v, h=n_heads, mask=mask, rate=rate):
+            # fresh Rng per call -> identical dropout on every evaluation
+            out, _ = tz.attention(q, k, v, h, rate, Rng(58), True, mask)
+            return _sq(out)
+
+        cases.append((f"attention[{label}]", {"q": q, "k": k, "v": v}, f_attention))
 
     a = _param(rng, (2, 3, 4))
     b = _param(rng, (4, 5))
@@ -158,14 +173,6 @@ def _primitive_cases():
     bb = _param(rng, (2,))
     cases.append(("linear", {"x": x, "w": w, "b": bb},
                   lambda x=x, w=w, b=bb: _sq(tz.linear(x, w, b))))
-
-    q = _param(rng, (2, 1, 3, 4))
-    k = _param(rng, (2, 1, 5, 4))
-    smask = np.where(Rng(10).random((3, 5)) < 0.3, -2.5, 0.0)
-    cases.append(
-        ("scaled_dot_scores", {"q": q, "k": k},
-         lambda q=q, k=k: _sq(tz.scaled_dot_scores(q, k, 0.5, smask)))
-    )
 
     x = _param(rng, (2, 7, 3))
     kern = _param(rng, (3, 3, 4))
@@ -210,12 +217,12 @@ def _primitive_cases():
         (40, 3, 5, 0.3), (40, 1, 0, 0.0), (12, 3, 12, 0.25),
     ):
         n = n_steps * n_mod
-        q, k = _param(rng, (1, 2, n, 2)), _param(rng, (1, 2, n, 2))
-        v = _param(rng, (1, 2, n, 3))
+        q, k = _param(rng, (1, n, 4)), _param(rng, (1, n, 4))
+        v = _param(rng, (1, n, 6))
 
         def f_local(q=q, k=k, v=v, m=n_mod, L=mask_length, rate=rate):
             # fresh Rng per call -> identical dropout on every evaluation
-            return _sq(tz.local_attention(q, k, v, m, L, rate, Rng(56), True))
+            return _sq(tz.local_attention(q, k, v, 2, m, L, rate, Rng(56), True))
 
         cases.append((f"local_attention[T={n_steps},M={n_mod},L={mask_length}]",
                       {"q": q, "k": k, "v": v}, f_local))

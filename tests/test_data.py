@@ -190,6 +190,23 @@ class TestLoadErrors:
         with pytest.raises(DataLoadError, match=r"audio\.csv:5: non-finite"):
             load_sample(d, ("audio",))
 
+    def test_non_utf8_byte_names_file_and_row(self, tmp_path):
+        d = self.write_sample(tmp_path)
+        path = os.path.join(d, "labels.csv")
+        lines = open(path, "rb").read().splitlines()
+        lines[2] = b"0.0,\xff\xfe"
+        open(path, "wb").write(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataLoadError, match=r"labels\.csv:3: not UTF-8"):
+            load_sample(d, ("audio",))
+
+    def test_oversized_field_names_file_and_row(self, tmp_path):
+        d = self.write_sample(tmp_path)
+        path = os.path.join(d, "audio.csv")
+        with open(path, "a") as fh:
+            fh.write("2.0,1.0," + "1" * 200_000 + "\n")
+        with pytest.raises(DataLoadError, match=r"audio\.csv:6: field larger"):
+            load_sample(d, ("audio",))
+
     def test_bad_spacing_detected(self, tmp_path):
         d = self.write_sample(tmp_path)
         path = os.path.join(d, "labels.csv")

@@ -99,10 +99,10 @@ def _band_weights(n_steps, n_mod, mask_length):
     values: token j's value is e_j, so output row i is weight row i."""
     rng = Rng(30)
     n = n_steps * n_mod
-    q = Tensor(rng.normal(0, 1, (1, 1, n, 4)))
-    k = Tensor(rng.normal(0, 1, (1, 1, n, 4)))
-    v = Tensor(np.eye(n)[None, None])
-    return tz.local_attention(q, k, v, n_mod, mask_length, 0.0, None, False).data[0, 0]
+    q = Tensor(rng.normal(0, 1, (1, n, 4)))
+    k = Tensor(rng.normal(0, 1, (1, n, 4)))
+    v = Tensor(np.eye(n)[None])
+    return tz.local_attention(q, k, v, 1, n_mod, mask_length, 0.0, None, False).data[0]
 
 
 class TestBandMask:
@@ -147,9 +147,9 @@ class TestBandMask:
         assert (_band_weights(4, 2, 100) > 0.0).all()
 
     def test_negative_length_rejected(self):
-        x = Tensor(np.zeros((1, 1, 4, 2)))
+        x = Tensor(np.zeros((1, 4, 2)))
         with pytest.raises(ConfigError):
-            tz.local_attention(x, x, x, 2, -1, 0.0, None, False)
+            tz.local_attention(x, x, x, 1, 2, -1, 0.0, None, False)
 
     @pytest.mark.parametrize(
         "n_steps, n_mod, mask_length",
@@ -160,11 +160,15 @@ class TestBandMask:
         n = n_steps * n_mod
         q, k = rng.normal(0, 1, (2, 2, n, 4)), rng.normal(0, 1, (2, 2, n, 4))
         v = rng.normal(0, 1, (2, 2, n, 3))
+
+        def tokens(x):  # [batch, heads, n, w] -> token-major [batch, n, heads * w]
+            return Tensor(np.swapaxes(x, 1, 2).reshape(2, n, -1))
+
         got = tz.local_attention(
-            Tensor(q), Tensor(k), Tensor(v), n_mod, mask_length, 0.0, None, False
+            tokens(q), tokens(k), tokens(v), 2, n_mod, mask_length, 0.0, None, False
         )
         want = _dense_band_attention(q, k, v, n_mod, mask_length)
-        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.data, tokens(want).data, rtol=0, atol=1e-12)
 
 
 class TestMultiHeadAttention:
@@ -194,8 +198,8 @@ class TestMultiHeadAttention:
         mask = np.zeros((5, 5))
         mask[:, 3] = -np.inf
         k, v = self.mha.project_kv(x)
-        _, probs = self.mha.attend(x, k, v, mask, return_probs=True)
-        weights = probs.data
+        _, weights = self.mha.attend(x, k, v, mask, return_probs=True)
+        assert weights.shape == (1, 2, 5, 5)
         assert np.all(weights[..., 3] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -238,8 +242,8 @@ class TestTransformerLayers:
         )
         out, cross_probs = layer.step(x_t, k_hist, v_hist, k_cross, v_cross)
         assert out.data.shape == (2, 1, 8)
-        assert cross_probs.data.shape == (2, 2, 1, 4)
-        np.testing.assert_allclose(cross_probs.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert cross_probs.shape == (2, 2, 1, 4)
+        np.testing.assert_allclose(cross_probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_decoder_step_gradients(self):
         rng = Rng(16)

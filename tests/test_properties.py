@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoreg.configio import parse_flat_config
-from emoreg.errors import ConfigError, DataLoadError
+from emoreg.data import MultimodalSample, load_sample, write_dataset
+from emoreg.errors import ConfigError, DataLoadError, EmoregError
 from emoreg.model import EmotionRegressor, ModelConfig, load_checkpoint, save_checkpoint
 from emoreg.tensor import Rng
 
@@ -69,3 +70,40 @@ def test_flipped_byte_checkpoint_loads_or_raises_data_load_error(checkpoint, dat
     corrupt = bytearray(checkpoint.read_bytes())
     corrupt[data.draw(st.integers(0, len(corrupt) - 1), label="at")] ^= flip
     _loads_or_data_load_error(checkpoint, bytes(corrupt))
+
+
+CSV_FRAGMENTS = st.sampled_from(
+    ["timestamp", "value", "f0", "0.0", "0.5", "1.0", "-2e3", "nan", "inf", "x", ",", "\n",
+     "\r\n", '"', " ", "\x00", "\ufeff", "\xe9", "1" * 140_000]
+)
+CSV_TEXT = st.lists(CSV_FRAGMENTS, max_size=30).map("".join)
+CSV_BLOBS = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(str.encode),
+    CSV_TEXT.map(str.encode),
+    CSV_TEXT.map(lambda t: t.encode("utf-16")),
+)
+
+
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    """A valid two-modality sample directory; tests overwrite its files."""
+    root = tmp_path_factory.mktemp("csv")
+    feats = {"audio": np.ones((4, 2)), "video": np.zeros((4, 3))}
+    write_dataset(root, "train", [MultimodalSample("s0", np.arange(4) * 0.5, feats, np.zeros(4))])
+    return root / "train" / "s0"
+
+
+@PROPERTY
+@given(name=st.sampled_from(["labels.csv", "audio.csv"]), blob=CSV_BLOBS)
+def test_csv_loader_returns_sample_or_named_error(sample_dir, name, blob):
+    path = sample_dir / name
+    original = path.read_bytes()
+    path.write_bytes(blob)
+    try:
+        sample = load_sample(str(sample_dir), ("audio", "video"))
+    except EmoregError:
+        return
+    finally:
+        path.write_bytes(original)
+    assert isinstance(sample, MultimodalSample)

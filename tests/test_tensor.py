@@ -22,6 +22,16 @@ from emoreg.tensor import (
 FD_TOL = 1e-5
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of [rows, n] logits, read out of
+    ``tz.attention`` as its weights for zero queries under the logits as
+    additive mask."""
+    rows, n = logits.shape
+    kv = Tensor(np.ones((1, n, 2)))
+    _, weights = tz.attention(Tensor(np.zeros((1, rows, 2))), kv, kv, 1, 0.0, None, False, logits)
+    return weights[0, 0]
+
+
 def check(f, params, tol=FD_TOL):
     report = finite_difference_check(f, params)
     assert report.max_rel_err < tol, str(report)
@@ -50,49 +60,85 @@ class TestForwardSemantics:
         np.testing.assert_allclose(out.data, x.data @ w.data + b.data, rtol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
-        x = Tensor(Rng(1).normal(0, 3, (6, 7)))
-        y = tz.softmax(x, axis=-1)
-        np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(6), atol=1e-12)
+        y = _softmax(Rng(1).normal(0, 3, (6, 7)))
+        np.testing.assert_allclose(y.sum(axis=-1), np.ones(6), atol=1e-12)
 
     def test_softmax_uniform_logits(self):
-        y = tz.softmax(Tensor(np.full((2, 4), 1.7)), axis=-1)
-        np.testing.assert_allclose(y.data, np.full((2, 4), 0.25), atol=1e-15)
+        y = _softmax(np.full((2, 4), 1.7))
+        np.testing.assert_allclose(y, np.full((2, 4), 0.25), atol=1e-15)
 
     def test_softmax_shift_invariance(self):
         x = Rng(2).normal(0, 1, (3, 5))
-        a = tz.softmax(Tensor(x), axis=-1)
-        b = tz.softmax(Tensor(x + 100.0), axis=-1)
-        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        np.testing.assert_allclose(_softmax(x), _softmax(x + 100.0), atol=1e-12)
 
     def test_softmax_masked_entries_are_exactly_zero(self):
-        mask = np.zeros((2, 4))
-        mask[:, 2] = -np.inf
-        y = tz.softmax(Tensor(np.ones((2, 4))), axis=-1, additive_mask=mask)
-        assert np.all(y.data[:, 2] == 0.0)
-        np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(2), atol=1e-12)
+        logits = np.zeros((2, 4))
+        logits[:, 2] = -np.inf
+        y = _softmax(logits)
+        assert np.all(y[:, 2] == 0.0)
+        np.testing.assert_allclose(y.sum(axis=-1), np.ones(2), atol=1e-12)
 
     def test_softmax_fully_masked_slice_raises(self):
-        mask = np.full((1, 3), -np.inf)
         with pytest.raises(DegenerateAttentionError):
-            tz.softmax(Tensor(np.ones((1, 3))), axis=-1, additive_mask=mask)
+            _softmax(np.full((1, 3), -np.inf))
 
     def test_large_logits_do_not_overflow(self):
-        y = tz.softmax(Tensor([[1000.0, 1000.0, -1000.0]]), axis=-1)
-        assert np.isfinite(y.data).all()
-        np.testing.assert_allclose(y.data[0, :2], [0.5, 0.5], atol=1e-12)
+        y = _softmax(np.array([[1000.0, 1000.0, -1000.0]]))
+        assert np.isfinite(y).all()
+        np.testing.assert_allclose(y[0, :2], [0.5, 0.5], atol=1e-12)
 
     def test_layer_norm_constant_input(self):
         # Constant rows normalize to zero, leaving only the bias.
         gain = Tensor(np.full(6, 2.0))
         bias = Tensor(np.full(6, 0.3))
-        out = tz.layer_norm(Tensor(np.full((2, 6), 5.0)), gain, bias)
+        x, y = Tensor(np.full((2, 6), 3.0)), Tensor(np.full((2, 6), 2.0))
+        out = tz.add_norm(x, y, gain, bias, 0.0, None, False)
         np.testing.assert_allclose(out.data, np.full((2, 6), 0.3), atol=1e-9)
 
     def test_layer_norm_standardizes(self):
         x = Tensor(Rng(3).normal(2, 5, (4, 32)))
-        out = tz.layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32)))
+        y = Tensor(Rng(4).normal(0, 1, (4, 32)))
+        out = tz.add_norm(x, y, Tensor(np.ones(32)), Tensor(np.zeros(32)), 0.0, None, False)
         np.testing.assert_allclose(out.data.mean(axis=-1), np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=-1), np.ones(4), atol=1e-3)
+
+    def test_add_norm_dropout_only_in_training(self):
+        rng = Rng(6)
+        x, y = Tensor(rng.normal(0, 1, (3, 8))), Tensor(rng.normal(0, 1, (3, 8)))
+        gain, bias = Tensor(np.ones(8)), Tensor(np.zeros(8))
+        plain = tz.add_norm(x, y, gain, bias, 0.0, None, False).data
+        np.testing.assert_array_equal(tz.add_norm(x, y, gain, bias, 0.5, None, False).data, plain)
+        dropped = tz.add_norm(x, y, gain, bias, 0.5, Rng(7), True).data
+        keep = (Rng(7).random((3, 8)) >= 0.5) / 0.5
+        want = tz.add_norm(x, Tensor(y.data * keep), gain, bias, 0.0, None, False).data
+        np.testing.assert_array_equal(dropped, want)
+        with pytest.raises(ConfigError):
+            tz.add_norm(x, y, gain, bias, 0.5, None, True)
+
+    def test_attention_matches_per_head_oracle(self):
+        rng = Rng(8)
+        q, k = rng.normal(0, 1, (2, 3, 6)), rng.normal(0, 1, (2, 5, 6))
+        v = rng.normal(0, 1, (2, 5, 4))
+        mask = np.where(rng.random((3, 5)) < 0.3, -np.inf, 0.0)
+        mask[:, 0] = 0.0
+        out, weights = tz.attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.0, None, False, mask)
+        for h in range(2):
+            qh, kh = q[..., 3 * h : 3 * h + 3], k[..., 3 * h : 3 * h + 3]
+            vh = v[..., 2 * h : 2 * h + 2]
+            scores = qh @ np.swapaxes(kh, -1, -2) / np.sqrt(3.0) + mask
+            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(weights[:, h], w, atol=1e-12)
+            np.testing.assert_allclose(out.data[..., 2 * h : 2 * h + 2], w @ vh, atol=1e-12)
+
+    def test_attention_shape_errors(self):
+        x = Tensor(np.ones((1, 3, 4)))
+        with pytest.raises(ShapeError):
+            tz.attention(x, x, x, 3, 0.0, None, False)  # width 4 over 3 heads
+        with pytest.raises(ShapeError):
+            tz.attention(x, Tensor(np.ones((1, 3, 2))), x, 1, 0.0, None, False)
+        with pytest.raises(ShapeError):
+            tz.attention(Tensor(np.ones((1, 1, 3, 4))), x, x, 1, 0.0, None, False)
 
     def test_relu_clamps_negatives(self):
         out = tz.relu(Tensor([-2.0, 0.0, 3.0]))
@@ -241,42 +287,50 @@ class TestGradients:
         check(lambda: tz.tsum(tz.gelu(x)), {"x": x})
 
     def test_softmax(self):
-        x = self.p((3, 6))
-        w = self.p((3, 6))
-        check(lambda: tz.tsum(tz.softmax(x, axis=-1) * w), {"x": x, "w": w})
+        q, k, v = self.p((2, 3, 4)), self.p((2, 6, 4)), self.p((2, 6, 4))
+        w = self.p((2, 3, 4))
+        check(
+            lambda: tz.tsum(tz.attention(q, k, v, 1, 0.0, None, False)[0] * w),
+            {"q": q, "k": k, "v": v, "w": w},
+        )
 
     def test_softmax_masked(self):
         mask = np.zeros((3, 6))
         mask[:, 4:] = -np.inf
-        x = self.p((3, 6))
-        w = self.p((3, 6))
+        q, k, v = self.p((2, 3, 4)), self.p((2, 6, 4)), self.p((2, 6, 4))
+        w = self.p((2, 3, 4))
         check(
-            lambda: tz.tsum(tz.softmax(x, axis=-1, additive_mask=mask) * w),
-            {"x": x, "w": w},
+            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, False, mask)[0] * w),
+            {"q": q, "k": k, "v": v, "w": w},
         )
 
     def test_layer_norm(self):
-        x, g, b = self.p((3, 8)), self.p((8,)), self.p((8,))
+        x, y, g, b = self.p((3, 8)), self.p((3, 8)), self.p((8,)), self.p((8,))
         w = self.p((3, 8))
-        check(lambda: tz.tsum(tz.layer_norm(x, g, b) * w), {"x": x, "g": g, "b": b})
+        check(
+            lambda: tz.tsum(tz.add_norm(x, y, g, b, 0.0, None, False) * w),
+            {"x": x, "y": y, "g": g, "b": b},
+        )
 
     def test_scaled_dot_scores(self):
-        q, k = self.p((2, 4, 3)), self.p((2, 5, 3))
+        # Finite additive bias on the scores, two heads of width 3.
+        q, k, v = self.p((2, 4, 6)), self.p((2, 5, 6)), self.p((2, 5, 2))
         mask = np.zeros((4, 5))
-        mask[0, 3:] = -2.5  # finite bias keeps the summed loss finite
+        mask[0, 3:] = -2.5
         check(
-            lambda: tz.tsum(tz.scaled_dot_scores(q, k, 0.57, mask)), {"q": q, "k": k}
+            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, False, mask)[0]),
+            {"q": q, "k": k, "v": v},
         )
 
     def test_masked_attention_composite(self):
-        # Full score->softmax->mix chain with a hard (-inf) mask.
+        # Scores, -inf mask, softmax, dropout and mix, all in one node.
         q, k, v = self.p((2, 4, 3)), self.p((2, 5, 3)), self.p((2, 5, 3))
         mask = np.zeros((4, 5))
         mask[:, 4] = -np.inf
 
         def f():
-            scores = tz.scaled_dot_scores(q, k, 1.0 / np.sqrt(3.0), mask)
-            return tz.tsum(tz.matmul(tz.softmax(scores, axis=-1), v))
+            out, _ = tz.attention(q, k, v, 1, 0.25, Rng(12), True, mask)
+            return tz.tsum(out * out)
 
         check(f, {"q": q, "k": k, "v": v})
 

@@ -319,6 +319,23 @@ class TestEvaluate:
         assert set(res.importance) == {"audio", "video", "text"}
         assert sum(res.importance.values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_mixed_patterns_credit_the_right_modality(self):
+        # Three samples, each missing a different modality, decode as one
+        # batch; each modality's importance must be the mean over the samples
+        # that have it, as evaluating each pattern alone gives.
+        self.setup()
+        samples = []
+        for s, drop in zip(tiny_data(seed=12, n_test=3)["test"], ("audio", "video", "text")):
+            feats = {m: (None if m == drop else x) for m, x in s.features.items()}
+            samples.append(type(s)(s.sample_id, s.timestamps, feats, s.labels))
+        mixed = evaluate(self.model, samples, self.stats, collect_importance=True)
+        alone = [evaluate(self.model, [s], self.stats, collect_importance=True) for s in samples]
+        for s, res in zip(samples, alone):
+            assert np.array_equal(mixed.predictions[s.sample_id], res.predictions[s.sample_id])
+        for m in self.model_cfg.modalities:
+            want = np.mean([res.importance[m] for res in alone if m in res.importance])
+            assert mixed.importance[m] == pytest.approx(want, rel=1e-12)
+
     def test_no_samples(self):
         self.setup()
         with pytest.raises(InsufficientDataError):
@@ -341,6 +358,33 @@ class TestAblation:
         assert ("audio", "video", "text") in report.subsets
         d = report.to_dict()
         json.dumps(d)  # must be serializable as-is
+
+    def test_batched_subsets_match_per_subset_evaluate(self):
+        # Subsets of equal modality count share one decode loop; each must
+        # still predict exactly what evaluating it alone predicts.  A shorter
+        # copy of a sample puts two lengths in play.
+        data = tiny_data(seed=10)
+        s0 = data["test"][0]
+        short = type(s0)("short", s0.timestamps[:60],
+                         {m: x[:60] for m, x in s0.features.items()}, s0.labels[:60])
+        samples = data["test"] + [short]
+        model_cfg = tiny_model_config()
+        model = EmotionRegressor(model_cfg, Rng(1))
+        from emoreg.data import compute_norm_stats
+
+        stats = compute_norm_stats(data["train"], model_cfg.modalities)
+        report = ablation_study(model, samples, stats)
+        for keep, got in report.subsets.items():
+            want = evaluate(model, samples, stats, use_modalities=keep)
+            assert got.predictions.keys() == want.predictions.keys()
+            for sid, pred in want.predictions.items():
+                assert np.array_equal(got.predictions[sid], pred), (keep, sid)
+            assert (got.ccc, got.rmse) == (want.ccc, want.rmse)
+            assert got.importance is None
+        full = evaluate(model, samples, stats, collect_importance=True)
+        assert report.importance.keys() == full.importance.keys()
+        for m, w in full.importance.items():
+            assert report.importance[m] == pytest.approx(w, rel=1e-12)
 
     def test_dominant_modality(self):
         assert dominant_modality({"a": 0.2, "b": 0.5, "c": 0.3}) == "b"
