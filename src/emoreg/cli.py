@@ -33,6 +33,7 @@ from .configio import (
     build_train_config,
     check_all_consumed,
     load_config_file,
+    parse_float,
     parse_int_list,
 )
 from .data import load_dataset, synth_generate, write_dataset
@@ -117,7 +118,17 @@ def _modalities_arg(value, known):
 
 def _load_trained(path):
     config, params, norm_stats = load_checkpoint(path)
-    model_cfg = ModelConfig.from_dict(config["model"])
+    try:
+        model_cfg = ModelConfig.from_dict(config["model"])
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise DataLoadError(f"checkpoint {path}: bad model config: {exc!r}") from None
+    for m in model_cfg.modalities:
+        width = model_cfg.modality_widths[m]
+        for stat in (f"{m}.mean", f"{m}.std"):
+            if np.shape(norm_stats.get(stat)) != (width,):
+                raise DataLoadError(
+                    f"checkpoint {path}: norm stats {stat!r} missing or not of shape ({width},)"
+                )
     model = EmotionRegressor(model_cfg, Rng(0))
     load_model_state(model, params)
     return model, config, norm_stats
@@ -252,7 +263,7 @@ def cmd_experiment(args) -> int:
         seeds = parse_int_list("experiment.seeds", raw["experiment.seeds"])
         consumed.add("experiment.seeds")
     if "experiment.alpha" in raw:
-        alpha = float(raw["experiment.alpha"])
+        alpha = parse_float("experiment.alpha", raw["experiment.alpha"])
         consumed.add("experiment.alpha")
     check_all_consumed(raw, consumed)
     if args.seeds is not None:

@@ -54,7 +54,7 @@ def _as_int(key: str, value: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
-def _as_float(key: str, value: str) -> float:
+def parse_float(key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
@@ -74,7 +74,7 @@ def parse_int_list(key: str, value: str) -> list:
 
 def _scalar_parsers(cls) -> dict:
     """Value parser per int or float field of a config dataclass."""
-    kinds = {"int": _as_int, "float": _as_float}
+    kinds = {"int": _as_int, "float": parse_float}
     return {f.name: kinds[f.type] for f in fields(cls) if f.type in kinds}
 
 
@@ -119,7 +119,7 @@ def build_train_config(raw: dict, consumed: set) -> TrainConfig:
                 continue
             kwargs[name] = _TRAIN_SCALARS[name](key, value)
         elif key.startswith("eliminate."):
-            elimination[key[len("eliminate."):]] = _as_float(key, value)
+            elimination[key[len("eliminate."):]] = parse_float(key, value)
         else:
             continue
         consumed.add(key)
@@ -141,7 +141,7 @@ def build_synth_config(raw: dict, consumed: set) -> SynthConfig:
         elif key.startswith("synth.width."):
             widths[key[len("synth.width."):]] = _as_int(key, value)
         elif key.startswith("synth.snr."):
-            snr[key[len("synth.snr."):]] = _as_float(key, value)
+            snr[key[len("synth.snr."):]] = parse_float(key, value)
         elif key.startswith("synth."):
             name = key[len("synth."):]
             if name not in _SYNTH_SCALARS:

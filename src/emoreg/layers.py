@@ -3,10 +3,11 @@
 All layer forwards take and return batched token-major 3-D tensors
 [batch, steps, width]; attention heads are split only inside the fused
 ``tensor.attention`` / ``tensor.local_attention`` nodes, and every residual
-exit is one ``tensor.add_norm`` node.  Modules
-expose their parameters through ``parameters(prefix)``, which yields a flat
-name -> Tensor mapping used by the optimizer, checkpointing, and gradient
-checking.
+exit is one ``tensor.add_norm`` node.  A forward draws dropout exactly when
+it is passed an ``Rng`` (and its rate is above 0); without one it is
+deterministic.  Modules expose their parameters through ``parameters(prefix)``,
+which yields a flat name -> Tensor mapping used by the optimizer,
+checkpointing, and gradient checking.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Rng, Tensor
 
 
@@ -47,9 +48,8 @@ class AddNorm:
         self.bias = Tensor(np.zeros(width), requires_grad=True)
         self.dropout_rate = dropout
 
-    def __call__(self, x: Tensor, y: Tensor, training: bool = False,
-                 rng: Rng | None = None) -> Tensor:
-        return tz.add_norm(x, y, self.gain, self.bias, self.dropout_rate, rng, training)
+    def __call__(self, x: Tensor, y: Tensor, rng: Rng | None = None) -> Tensor:
+        return tz.add_norm(x, y, self.gain, self.bias, self.dropout_rate, rng)
 
     def parameters(self, prefix: str) -> dict:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
@@ -90,13 +90,13 @@ class CausalConvStack:
         k = self.kernels[0].data.shape[0]
         return 1 + (k - 1) * (2 ** len(self.kernels) - 1)
 
-    def __call__(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
+    def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
         h = x
         for i, (kernel, bias, dilation) in enumerate(
             zip(self.kernels, self.biases, self.dilations)
         ):
             y = tz.relu(tz.dilated_causal_conv1d(h, kernel, bias, dilation))
-            y = tz.dropout(y, self.dropout_rate, rng, training)
+            y = tz.dropout(y, self.dropout_rate, rng)
             if i == 0 and self.res_proj is not None:
                 h = self.res_proj(h) + y
             else:
@@ -162,45 +162,38 @@ class MultiHeadAttention:
         k: Tensor,
         v: Tensor,
         additive_mask=None,
-        training: bool = False,
         rng: Rng | None = None,
-        return_probs: bool = False,
         band: tuple | None = None,
-    ):
+    ) -> tuple:
         """Attend from ``q_src`` to projected keys and values.
 
-        ``return_probs`` also returns the pre-dropout weights
-        [batch, heads, queries, keys] as an array.  ``band = (n_mod,
-        mask_length)`` marks a time-major self-attention sequence and routes
-        to ``tz.local_attention``, which confines each token to steps within
-        ``mask_length`` of its own; weights are then not returned, and
-        ``additive_mask`` must be None.
+        Returns the output and the pre-dropout weights [batch, heads,
+        queries, keys] as an array.  ``band = (n_mod, mask_length)`` marks a
+        time-major self-attention sequence and routes to
+        ``tz.local_attention``, which confines each token to steps within
+        ``mask_length`` of its own; the weights are then None, and
+        ``additive_mask`` is not used.
         """
         q = self.wq(q_src)
         if band is not None:
-            if additive_mask is not None or return_probs:
-                raise ContractError("banded attention takes no additive mask or return_probs")
             n_mod, mask_length = band
             mixed = tz.local_attention(
-                q, k, v, self.n_heads, n_mod, mask_length, self.dropout_rate, rng, training
+                q, k, v, self.n_heads, n_mod, mask_length, self.dropout_rate, rng
             )
-            return self.wo(mixed)
-        mixed, probs = tz.attention(
-            q, k, v, self.n_heads, self.dropout_rate, rng, training, additive_mask
-        )
-        return (self.wo(mixed), probs) if return_probs else self.wo(mixed)
+            return self.wo(mixed), None
+        mixed, probs = tz.attention(q, k, v, self.n_heads, self.dropout_rate, rng, additive_mask)
+        return self.wo(mixed), probs
 
     def __call__(
         self,
         q_src: Tensor,
         kv_src: Tensor,
         additive_mask=None,
-        training: bool = False,
         rng: Rng | None = None,
         band: tuple | None = None,
     ) -> Tensor:
         k, v = self.project_kv(kv_src)
-        return self.attend(q_src, k, v, additive_mask, training, rng, band=band)
+        return self.attend(q_src, k, v, additive_mask, rng, band)[0]
 
     def parameters(self, prefix: str) -> dict:
         out = {}
@@ -217,8 +210,8 @@ class FeedForward:
         self.w2 = Linear(d_hidden, d_model, rng)
         self.dropout_rate = dropout
 
-    def __call__(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
-        h = tz.dropout(tz.relu(self.w1(x)), self.dropout_rate, rng, training)
+    def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
+        h = tz.dropout(tz.relu(self.w1(x)), self.dropout_rate, rng)
         return self.w2(h)
 
     def parameters(self, prefix: str) -> dict:
@@ -237,15 +230,12 @@ class EncoderLayer:
         self.norm1 = AddNorm(d_model, dropout)
         self.norm2 = AddNorm(d_model, dropout)
 
-    def __call__(
-        self, x: Tensor, band: tuple | None = None, training: bool = False,
-        rng: Rng | None = None,
-    ) -> Tensor:
+    def __call__(self, x: Tensor, band: tuple | None = None, rng: Rng | None = None) -> Tensor:
         """``band = (n_mod, mask_length)`` confines self-attention over a
         time-major token sequence to a temporal band; None attends to all."""
-        a = self.attn(x, x, None, training, rng, band=band)
-        h = self.norm1(x, a, training, rng)
-        return self.norm2(h, self.ffn(h, training, rng), training, rng)
+        a = self.attn(x, x, None, rng, band)
+        h = self.norm1(x, a, rng)
+        return self.norm2(h, self.ffn(h, rng), rng)
 
     def parameters(self, prefix: str) -> dict:
         out = self.attn.parameters(f"{prefix}.attn")
@@ -281,7 +271,6 @@ class DecoderLayer:
         v_hist: Tensor,
         k_cross: Tensor,
         v_cross: Tensor,
-        training: bool = False,
         rng: Rng | None = None,
     ) -> tuple:
         """One decode step; history tensors already include the current step.
@@ -289,13 +278,11 @@ class DecoderLayer:
         Returns the layer output and the cross-attention weights, an array
         [batch, heads, 1, n_cross].
         """
-        a = self.self_attn.attend(x_t, k_hist, v_hist, None, training, rng)
-        h1 = self.norm1(x_t, a, training, rng)
-        c, cross_probs = self.cross_attn.attend(
-            h1, k_cross, v_cross, None, training, rng, return_probs=True
-        )
-        h2 = self.norm2(h1, c, training, rng)
-        out = self.norm3(h2, self.ffn(h2, training, rng), training, rng)
+        a, _ = self.self_attn.attend(x_t, k_hist, v_hist, None, rng)
+        h1 = self.norm1(x_t, a, rng)
+        c, cross_probs = self.cross_attn.attend(h1, k_cross, v_cross, None, rng)
+        h2 = self.norm2(h1, c, rng)
+        out = self.norm3(h2, self.ffn(h2, rng), rng)
         return out, cross_probs
 
     def parameters(self, prefix: str) -> dict:

@@ -23,6 +23,9 @@ runs ``DecoderLayer.step`` once per layer and step: each attention is one
 Rows of a batch are decoded independently, so encodings of different
 modality patterns with the same modality count can share one decode loop;
 importance is therefore reported per row.
+
+``encode``, ``decode`` and ``forward`` draw dropout exactly when they are
+passed an ``Rng``: training passes one, evaluation does not.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ class EmotionRegressor:
             raise NoModalityError("no modality streams available")
         return present
 
-    def encode(self, features: dict, training: bool = False, rng: Rng | None = None) -> tuple:
+    def encode(self, features: dict, rng: Rng | None = None) -> tuple:
         """Encode available modalities into [batch, steps, n_present, width].
 
         ``features`` maps modality name -> array [batch, steps, feat] (absent
@@ -185,7 +188,7 @@ class EmotionRegressor:
                     )
             elif x.shape[1] != n_steps:
                 raise ShapeError("modalities disagree on sequence length")
-            front = self.conv_fronts[m](Tensor(x), training, rng)
+            front = self.conv_fronts[m](Tensor(x), rng)
             mi = c.modalities.index(m)
             token = front + self.enc_positions.rows(0, n_steps) + self.modality_codes.rows(mi, 1)
             tokens.append(tz.reshape(token, token.data.shape[:2] + (1, c.d_model)))
@@ -196,24 +199,18 @@ class EmotionRegressor:
         b = h.data.shape[0]
         h = tz.reshape(h, (b, n_steps * n_mod, c.d_model))
         for layer in self.encoder:
-            h = layer(h, (n_mod, c.mask_length), training, rng)
+            h = layer(h, (n_mod, c.mask_length), rng)
         return tz.reshape(h, (b, n_steps, n_mod, c.d_model)), present
 
     # ------------------------------------------------------------------
     # Decoder
 
-    def decode(
-        self,
-        encoded: Tensor,
-        training: bool = False,
-        rng: Rng | None = None,
-        collect_importance: bool = False,
-    ) -> tuple:
+    def decode(self, encoded: Tensor, rng: Rng | None = None) -> tuple:
         """Free-running cached decode.
 
-        Returns (predictions [batch, steps], importance [batch, n_mod] or
-        None).  A row's importance is the mean cross-attention weight each
-        modality receives, averaged over steps, heads, and decoder layers.
+        Returns (predictions [batch, steps], importance [batch, n_mod]).  A
+        row's importance is the mean cross-attention weight each modality
+        receives, averaged over steps, heads, and decoder layers.
         """
         b, n_steps, n_mod, d = encoded.data.shape
         # Cross-attention K/V for all steps, projected once per layer from the
@@ -228,7 +225,7 @@ class EmotionRegressor:
         ]
         x = Tensor(np.zeros((b, 1, d))) + self.start_vector + self.dec_positions.rows(0, 1)
         outputs = []
-        importance = np.zeros((b, n_mod)) if collect_importance else None
+        importance = np.zeros((b, n_mod))
         for t in range(n_steps):
             sl = (slice(None), slice(t * n_mod, (t + 1) * n_mod))
             h = x
@@ -236,33 +233,23 @@ class EmotionRegressor:
                 k_row, v_row = layer.self_attn.project_kv(h)
                 kc.append(k_row)
                 vc.append(v_row)
-                h, cross_probs = layer.step(
-                    h, kc.read(), vc.read(), k_all[sl], v_all[sl], training, rng
-                )
-                if collect_importance:
-                    importance += cross_probs.mean(axis=(1, 2))
+                h, cross_probs = layer.step(h, kc.read(), vc.read(), k_all[sl], v_all[sl], rng)
+                importance += cross_probs.mean(axis=(1, 2))
             outputs.append(h)
             if t + 1 < n_steps:
                 x = h + self.dec_positions.rows(t + 1, 1)
         feats = tz.concat(outputs, axis=-2)
         preds = tz.reshape(self.head(feats), (b, n_steps))
-        if collect_importance:
-            importance /= n_steps * len(self.decoder)
+        importance /= n_steps * len(self.decoder)
         return preds, importance
 
     # ------------------------------------------------------------------
 
-    def forward(
-        self,
-        features: dict,
-        training: bool = False,
-        rng: Rng | None = None,
-        collect_importance: bool = False,
-    ) -> tuple:
+    def forward(self, features: dict, rng: Rng | None = None) -> tuple:
         """Full pass: returns (predictions [batch, steps], present modalities,
-        importance [batch, n_present] or None)."""
-        encoded, present = self.encode(features, training, rng)
-        preds, importance = self.decode(encoded, training, rng, collect_importance)
+        importance [batch, n_present])."""
+        encoded, present = self.encode(features, rng)
+        preds, importance = self.decode(encoded, rng)
         return preds, present, importance
 
 

@@ -113,9 +113,6 @@ class StatTestResult:
     p_value: float
     alternative: str
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
-
 
 def welch_t_test(a, b, alternative: str = "two-sided") -> StatTestResult:
     """Welch's unequal-variance t-test of mean(a) against mean(b).

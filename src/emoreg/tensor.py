@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     ConfigError,
@@ -26,9 +25,6 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Rng:
@@ -88,10 +84,6 @@ class Tensor:
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.data).all())
-
-    def assert_finite(self, context: str = ""):
-        if not self.is_finite():
-            raise NumericError(f"non-finite values in tensor {self.name or context!r}")
 
     def zero_grad(self):
         self.grad = None
@@ -362,34 +354,18 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
-    tape = _recording(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = _result(a.data * cdf, tape)
-    if tape is not None:
-
-        def bw(g):
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-            _add_grad(a, g * (cdf + a.data * pdf))
-
-        tape.record(out, bw, "gelu")
-    return out
-
-
-def _dropout_on(rate: float, rng: Rng | None, training: bool) -> bool:
-    """Validate a dropout setting; True when a mask must be drawn."""
+def _dropout_on(rate: float, rng: Rng | None) -> bool:
+    """Validate a dropout rate; True when a mask must be drawn, which is
+    exactly when an ``Rng`` is given and the rate is above 0."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    drop = training and rate > 0.0
-    if drop and rng is None:
-        raise ConfigError("training-mode dropout requires an Rng")
-    return drop
+    return rng is not None and rate > 0.0
 
 
-def dropout(a: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
-    """Inverted dropout: train-time rescale by 1/(1-rate); eval is identity."""
-    if not _dropout_on(rate, rng, training):
+def dropout(a: Tensor, rate: float, rng: Rng | None) -> Tensor:
+    """Inverted dropout: with an ``Rng``, zero entries at ``rate`` and rescale
+    the rest by 1/(1-rate); without one, return ``a`` itself."""
+    if not _dropout_on(rate, rng):
         return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     tape = _recording(a)
@@ -400,15 +376,15 @@ def dropout(a: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
 
 
 def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
-             rng: Rng | None, training: bool) -> Tensor:
+             rng: Rng | None) -> Tensor:
     """Residual exit of a sublayer as one node: ``layer_norm(x + dropout(y))``.
 
-    ``y`` gets inverted dropout at ``rate`` in training; the sum is
+    ``y`` gets inverted dropout at ``rate`` when ``rng`` is given; the sum is
     normalized over the last axis to zero mean and unit variance (variance
     offset 1e-5), then scaled by ``gain`` and shifted by ``bias``.
     """
     keep = None
-    if _dropout_on(rate, rng, training):
+    if _dropout_on(rate, rng):
         keep = (rng.random(y.data.shape) >= rate) / (1.0 - rate)
     s = x.data + (y.data if keep is None else y.data * keep)
     mu = s.mean(axis=-1, keepdims=True)
@@ -522,12 +498,12 @@ def _block_backward(g, qd, k, v, p, keep, rate: float) -> tuple:
     return np.matmul(gp, k), np.matmul(np.swapaxes(gp, -1, -2), qd), gv
 
 
-def _blockwise_attention(q, k, v, n_heads, rate, rng, training, blocks, name) -> tuple:
+def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
     """The node behind ``attention`` and ``local_attention``: runs the block
     forward over ``blocks``, (query slice, key slice, additive mask or None)
     triples over tokens, and records one backward for all of them.  Returns
     (output, weights of the last block)."""
-    drop = _dropout_on(rate, rng, training)
+    drop = _dropout_on(rate, rng)
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
     if (
         len(qs) != 3 or len(ks) != 3 or len(vs) != 3 or qs[0] != ks[0] or ks[:2] != vs[:2]
@@ -575,20 +551,20 @@ def _blockwise_attention(q, k, v, n_heads, rate, rng, training, blocks, name) ->
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float,
-              rng: Rng | None, training: bool, additive_mask=None) -> tuple:
+              rng: Rng | None, additive_mask=None) -> tuple:
     """Multi-head scaled dot-product attention as one tape node.
 
     ``q`` is [batch, queries, width] and ``k``/``v`` are [batch, keys, width]
     (token-major); heads are split inside as views.  Per head the weights are
     softmax(q k^T / sqrt(width / n_heads) + additive_mask), with inverted
-    dropout at ``rate`` on the weights in training; the weighted sums of
+    dropout at ``rate`` on the weights when ``rng`` is given; the weighted sums of
     values are merged back to [batch, queries, width].  A mask row of all
     -inf raises ``DegenerateAttentionError``.  Returns (output, weights), the
     weights being the pre-dropout [batch, heads, queries, keys] array.
     """
     mask = None if additive_mask is None else np.asarray(additive_mask, dtype=np.float64)
     whole = [(slice(None), slice(None), mask)]
-    return _blockwise_attention(q, k, v, n_heads, rate, rng, training, whole, "attention")
+    return _blockwise_attention(q, k, v, n_heads, rate, rng, whole, "attention")
 
 
 def _chunk_steps(mask_length: int) -> int:
@@ -619,7 +595,7 @@ def _band_blocks(n_steps: int, n_mod: int, mask_length: int):
 
 
 def local_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, n_mod: int,
-                    mask_length: int, rate: float, rng: Rng | None, training: bool) -> Tensor:
+                    mask_length: int, rate: float, rng: Rng | None) -> Tensor:
     """Band-limited multi-head self-attention over a time-major token sequence.
 
     ``q``, ``k`` and ``v`` are token-major [batch, steps * n_mod, width], as
@@ -643,7 +619,7 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, n_mod: int,
         raise ShapeError(f"{n_tok} tokens do not split into steps of {n_mod} modalities")
     blocks = _band_blocks(n_tok // n_mod, n_mod, mask_length)
     out, _ = _blockwise_attention(
-        q, k, v, n_heads, rate, rng, training, blocks, "local_attention"
+        q, k, v, n_heads, rate, rng, blocks, "local_attention"
     )
     return out
 
@@ -710,15 +686,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     if tape is not None:
         orig = a.data.shape
         tape.record(out, lambda g: _add_grad(a, g.reshape(orig)), "reshape")
-    return out
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    tape = _recording(a)
-    out = _result(np.transpose(a.data, axes), tape)
-    if tape is not None:
-        inv = np.argsort(axes)
-        tape.record(out, lambda g: _add_grad(a, np.transpose(g, inv)), "transpose")
     return out
 
 

@@ -33,6 +33,7 @@ from .errors import (
     DegenerateTestError,
     InsufficientDataError,
     NumericError,
+    ShapeError,
 )
 from .model import EmotionRegressor, ModelConfig
 from .objective import MetricValue, ccc_loss, holm_bonferroni, welch_t_test
@@ -155,23 +156,21 @@ class RunHistory:
 
 @dataclass
 class EvalResult:
-    """Evaluation over full sequences, ordered by sample id."""
+    """Evaluation over full sequences, ordered by sample id; ``to_dict``
+    holds the scores only."""
 
     ccc: float
     rmse: float
     per_sample_ccc: dict
     predictions: dict
-    importance: dict | None = None
+    importance: dict
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "ccc": self.ccc,
             "rmse": self.rmse,
             "per_sample_ccc": self.per_sample_ccc,
         }
-        if self.importance is not None:
-            out["importance"] = self.importance
-        return out
 
 
 def _restrict(features: dict, keep) -> dict:
@@ -180,8 +179,7 @@ def _restrict(features: dict, keep) -> dict:
     return {m: (x if m in keep else None) for m, x in features.items()}
 
 
-def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets,
-                      collect_importance: bool) -> list:
+def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets) -> list:
     """One ``EvalResult`` per entry of ``subsets`` (``use_modalities`` values).
 
     Samples sharing a length and an availability pattern are encoded as one
@@ -211,24 +209,21 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
             rows += [(i, present) for i in indices]
         stacked = Tensor(np.concatenate(parts))
         del encoded, parts  # hold only the stacked copy while decoding,
-        out, imp = model.decode(stacked, collect_importance=collect_importance)
+        out, imp = model.decode(stacked)
         del stacked  # and none of it while encoding the next stack
         for r, (i, present) in enumerate(rows):
             preds[i] = out.data[r]
-            if imp is not None:
-                imps[i] = dict(zip(present, imp[r]))
+            imps[i] = dict(zip(present, imp[r]))
     truth = np.concatenate([s.labels for s in ordered])
     results = []
     for lo in range(0, len(jobs), len(ordered)):
         row_preds = preds[lo : lo + len(ordered)]
         flat = np.concatenate(row_preds)
-        importance = None
-        if collect_importance:
-            weights = {}
-            for row_imp in imps[lo : lo + len(ordered)]:
-                for m, w in row_imp.items():
-                    weights.setdefault(m, []).append(w)
-            importance = {m: sum(ws) / len(ws) for m, ws in weights.items()}
+        weights = {}
+        for row_imp in imps[lo : lo + len(ordered)]:
+            for m, w in row_imp.items():
+                weights.setdefault(m, []).append(w)
+        importance = {m: sum(ws) / len(ws) for m, ws in weights.items()}
         results.append(EvalResult(
             ccc=ob.ccc(flat, truth),
             rmse=ob.rmse(flat, truth),
@@ -240,17 +235,16 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
 
 
 def evaluate(model: EmotionRegressor, samples, norm_stats: dict,
-             use_modalities=None, collect_importance: bool = False) -> EvalResult:
+             use_modalities=None) -> EvalResult:
     """Run the model over whole sequences and score globally.
 
     ``use_modalities`` restricts the available streams (simulating missing
     modalities); CCC/RMSE are computed over the concatenation of all
-    predictions in sample-id order.  Importance averages each sample's
-    cross-attention weights over the samples that have the modality.
+    predictions in sample-id order.  The result always carries importance:
+    each sample's cross-attention weights, averaged over the samples that
+    have the modality.
     """
-    return _evaluate_subsets(
-        model, samples, norm_stats, [use_modalities], collect_importance
-    )[0]
+    return _evaluate_subsets(model, samples, norm_stats, [use_modalities])[0]
 
 
 @dataclass
@@ -287,6 +281,14 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
         if len(model_cfg.modalities) < 2:
             raise ConfigError("modality elimination needs at least two modalities")
         policy = EliminationPolicy(dict(train_cfg.elimination))
+    for s in [*train_samples, *val_samples]:
+        for m in model_cfg.modalities:
+            x = s.features.get(m)
+            if x is not None and x.shape[1] != model_cfg.modality_widths[m]:
+                raise ShapeError(
+                    f"sample {s.sample_id}: modality {m!r} has {x.shape[1]} "
+                    f"features, model expects {model_cfg.modality_widths[m]}"
+                )
     # Training runs on segments of at most segment_length steps, validation on
     # whole samples: reject any that exceed max_steps before the first epoch.
     lengths = [(min(s.n_steps, train_cfg.segment_length), s) for s in train_samples]
@@ -330,7 +332,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
                 features = policy.applied_to(features, removed)
             optimizer.zero_grad()
             with Tape() as tape:
-                preds, _, _ = model.forward(features, training=True, rng=dropout_rng)
+                preds, _, _ = model.forward(features, rng=dropout_rng)
                 loss = ccc_loss(preds, labels)
             if not loss.is_finite():
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -397,10 +399,8 @@ def ablation_study(model: EmotionRegressor, samples, norm_stats: dict) -> Ablati
         tuple(m for i, m in enumerate(mods) if bits >> i & 1)
         for bits in range(1, 2 ** len(mods))
     ]
-    results = _evaluate_subsets(model, samples, norm_stats, keeps, collect_importance=True)
+    results = _evaluate_subsets(model, samples, norm_stats, keeps)
     importance = results[-1].importance  # the last subset is the full set
-    for res in results:
-        res.importance = None
     return AblationReport(subsets=dict(zip(keeps, results)), importance=importance)
 
 
@@ -483,6 +483,8 @@ def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dic
     * degradation: two-sided, within each variant, does removing a modality
       shift CCC relative to the all-modalities condition.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     seeds = list(seeds)
     if len(seeds) < 2:
         raise InsufficientDataError("experiments need at least two seeds")

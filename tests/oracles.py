@@ -31,7 +31,7 @@ def decode_uncached(model, encoded: Tensor) -> Tensor:
         for layer, (k_all, v_all) in zip(model.decoder, cross):
             h1 = layer.norm1(h, layer.self_attn(h, h, causal))
             sl = (slice(None), slice(0, s * n_mod))
-            c = layer.cross_attn.attend(h1, k_all[sl], v_all[sl], own_step)
+            c, _ = layer.cross_attn.attend(h1, k_all[sl], v_all[sl], own_step)
             h2 = layer.norm2(h1, c)
             h = layer.norm3(h2, layer.ffn(h2))
         last = h[:, t : t + 1]

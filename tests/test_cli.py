@@ -13,6 +13,7 @@ import pytest
 
 from emoreg.cli import main
 from emoreg.data import load_dataset
+from emoreg.model import load_checkpoint, save_checkpoint
 
 SYNTH_CFG = """\
 # tiny benchmark for CLI tests
@@ -227,6 +228,26 @@ class TestEval:
         assert rc == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", [
+        "no_model_config", "non_integer_d_model", "no_norm_stats", "norm_stats_too_narrow",
+    ])
+    def test_malformed_checkpoint(self, run_dir, dataset, workspace, capsys, fault):
+        config, params, norm_stats = load_checkpoint(run_dir / "model.ckpt")
+        if fault == "no_model_config":
+            del config["model"]
+        elif fault == "non_integer_d_model":
+            config["model"]["d_model"] = "abc"
+        elif fault == "no_norm_stats":
+            del norm_stats["audio.mean"]
+        else:
+            norm_stats["video.std"] = norm_stats["video.std"][:2]
+        bad = workspace / f"{fault}.ckpt"
+        save_checkpoint(bad, config, params, norm_stats)
+        rc = main(["eval", "--model", str(bad), "--data", str(dataset)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
 
 class TestAblate:
     def test_report(self, run_dir, dataset, workspace, capsys):
@@ -302,6 +323,21 @@ class TestExperimentCommand:
         assert "robust" in printed
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["elimination"] == {"audio": 0.3}
+
+    @pytest.mark.parametrize("alpha", ["abc", "7"])
+    def test_bad_alpha_exits_2(self, dataset, workspace, capsys, alpha):
+        cfg = workspace / "alpha.cfg"
+        cfg.write_text(
+            TRAIN_CFG.replace("train.epochs = 4", "train.epochs = 1")
+            + f"eliminate.audio = 0.3\nexperiment.alpha = {alpha}\n"
+        )
+        rc = main(
+            ["experiment", "--data", str(dataset),
+             "--out", str(workspace / f"exp_alpha_{alpha}"), "--config", str(cfg),
+             "--seeds", "0,1"]
+        )
+        assert rc == 2
+        assert "alpha" in capsys.readouterr().err
 
     def test_requires_elimination(self, dataset, workspace, capsys):
         cfg = workspace / "noelim.cfg"

@@ -102,7 +102,7 @@ def _band_weights(n_steps, n_mod, mask_length):
     q = Tensor(rng.normal(0, 1, (1, n, 4)))
     k = Tensor(rng.normal(0, 1, (1, n, 4)))
     v = Tensor(np.eye(n)[None])
-    return tz.local_attention(q, k, v, 1, n_mod, mask_length, 0.0, None, False).data[0]
+    return tz.local_attention(q, k, v, 1, n_mod, mask_length, 0.0, None).data[0]
 
 
 class TestBandMask:
@@ -149,7 +149,7 @@ class TestBandMask:
     def test_negative_length_rejected(self):
         x = Tensor(np.zeros((1, 4, 2)))
         with pytest.raises(ConfigError):
-            tz.local_attention(x, x, x, 1, 2, -1, 0.0, None, False)
+            tz.local_attention(x, x, x, 1, 2, -1, 0.0, None)
 
     @pytest.mark.parametrize(
         "n_steps, n_mod, mask_length",
@@ -165,7 +165,7 @@ class TestBandMask:
             return Tensor(np.swapaxes(x, 1, 2).reshape(2, n, -1))
 
         got = tz.local_attention(
-            tokens(q), tokens(k), tokens(v), 2, n_mod, mask_length, 0.0, None, False
+            tokens(q), tokens(k), tokens(v), 2, n_mod, mask_length, 0.0, None
         )
         want = _dense_band_attention(q, k, v, n_mod, mask_length)
         np.testing.assert_allclose(got.data, tokens(want).data, rtol=0, atol=1e-12)
@@ -190,7 +190,7 @@ class TestMultiHeadAttention:
         kv = Tensor(self.rng.normal(0, 1, (2, 6, 8)))
         k, v = self.mha.project_kv(kv)
         np.testing.assert_allclose(
-            self.mha.attend(q, k, v).data, self.mha(q, kv).data, atol=1e-14
+            self.mha.attend(q, k, v)[0].data, self.mha(q, kv).data, atol=1e-14
         )
 
     def test_mask_blocks_attention(self):
@@ -198,10 +198,17 @@ class TestMultiHeadAttention:
         mask = np.zeros((5, 5))
         mask[:, 3] = -np.inf
         k, v = self.mha.project_kv(x)
-        _, weights = self.mha.attend(x, k, v, mask, return_probs=True)
+        _, weights = self.mha.attend(x, k, v, mask)
         assert weights.shape == (1, 2, 5, 5)
         assert np.all(weights[..., 3] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_banded_attend_returns_no_weights(self):
+        x = Tensor(self.rng.normal(0, 1, (1, 6, 8)))
+        k, v = self.mha.project_kv(x)
+        out, weights = self.mha.attend(x, k, v, band=(2, 1))
+        assert weights is None
+        np.testing.assert_array_equal(out.data, self.mha(x, x, band=(2, 1)).data)
 
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
@@ -268,7 +275,7 @@ class TestTransformerLayers:
         a = layer(x).data
         b = layer(x).data
         np.testing.assert_array_equal(a, b)  # eval mode: deterministic
-        c = layer(x, training=True, rng=Rng(19)).data
+        c = layer(x, rng=Rng(19)).data
         assert not np.array_equal(a, c)
 
 

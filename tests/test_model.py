@@ -157,18 +157,18 @@ class TestForward:
         cfg = tiny_config(dropout=0.2)
         model = EmotionRegressor(cfg, Rng(2))
         feats = make_features(cfg, self.rng)
-        a, _, _ = model.forward(feats, training=True, rng=Rng(7))
-        b, _, _ = model.forward(feats, training=True, rng=Rng(7))
-        c, _, _ = model.forward(feats, training=True, rng=Rng(8))
+        a, _, _ = model.forward(feats, rng=Rng(7))
+        b, _, _ = model.forward(feats, rng=Rng(7))
+        c, _, _ = model.forward(feats, rng=Rng(8))
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
     def test_importance_sums_to_one(self):
         feats = make_features(self.cfg, self.rng)
-        _, present, imp = self.model.forward(feats, collect_importance=True)
+        _, present, imp = self.model.forward(feats)
         assert imp.shape == (2, 2)  # [batch, n_present]
         np.testing.assert_allclose(imp.sum(axis=-1), 1.0, atol=1e-10)
-        _, _, imp1 = self.model.forward({"a": feats["a"]}, collect_importance=True)
+        _, _, imp1 = self.model.forward({"a": feats["a"]})
         np.testing.assert_allclose(imp1[:, 0], 1.0, atol=1e-12)
 
 
@@ -195,9 +195,9 @@ class TestDecoderSemantics:
         steps = 20
         feats = make_features(model.config, Rng(6), batch=2, steps=steps)
         with Tape() as tape:
-            enc, _ = model.encode(feats, training=True, rng=Rng(7))
+            enc, _ = model.encode(feats, rng=Rng(7))
             before = len(tape)
-            model.decode(enc, training=True, rng=Rng(8))
+            model.decode(enc, rng=Rng(8))
         assert (len(tape) - before) / steps <= 24
 
     def test_future_blindness_is_exact(self):

@@ -28,7 +28,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     additive mask."""
     rows, n = logits.shape
     kv = Tensor(np.ones((1, n, 2)))
-    _, weights = tz.attention(Tensor(np.zeros((1, rows, 2))), kv, kv, 1, 0.0, None, False, logits)
+    _, weights = tz.attention(Tensor(np.zeros((1, rows, 2))), kv, kv, 1, 0.0, None, logits)
     return weights[0, 0]
 
 
@@ -92,13 +92,13 @@ class TestForwardSemantics:
         gain = Tensor(np.full(6, 2.0))
         bias = Tensor(np.full(6, 0.3))
         x, y = Tensor(np.full((2, 6), 3.0)), Tensor(np.full((2, 6), 2.0))
-        out = tz.add_norm(x, y, gain, bias, 0.0, None, False)
+        out = tz.add_norm(x, y, gain, bias, 0.0, None)
         np.testing.assert_allclose(out.data, np.full((2, 6), 0.3), atol=1e-9)
 
     def test_layer_norm_standardizes(self):
         x = Tensor(Rng(3).normal(2, 5, (4, 32)))
         y = Tensor(Rng(4).normal(0, 1, (4, 32)))
-        out = tz.add_norm(x, y, Tensor(np.ones(32)), Tensor(np.zeros(32)), 0.0, None, False)
+        out = tz.add_norm(x, y, Tensor(np.ones(32)), Tensor(np.zeros(32)), 0.0, None)
         np.testing.assert_allclose(out.data.mean(axis=-1), np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=-1), np.ones(4), atol=1e-3)
 
@@ -106,14 +106,12 @@ class TestForwardSemantics:
         rng = Rng(6)
         x, y = Tensor(rng.normal(0, 1, (3, 8))), Tensor(rng.normal(0, 1, (3, 8)))
         gain, bias = Tensor(np.ones(8)), Tensor(np.zeros(8))
-        plain = tz.add_norm(x, y, gain, bias, 0.0, None, False).data
-        np.testing.assert_array_equal(tz.add_norm(x, y, gain, bias, 0.5, None, False).data, plain)
-        dropped = tz.add_norm(x, y, gain, bias, 0.5, Rng(7), True).data
+        plain = tz.add_norm(x, y, gain, bias, 0.0, None).data
+        np.testing.assert_array_equal(tz.add_norm(x, y, gain, bias, 0.5, None).data, plain)
+        dropped = tz.add_norm(x, y, gain, bias, 0.5, Rng(7)).data
         keep = (Rng(7).random((3, 8)) >= 0.5) / 0.5
-        want = tz.add_norm(x, Tensor(y.data * keep), gain, bias, 0.0, None, False).data
+        want = tz.add_norm(x, Tensor(y.data * keep), gain, bias, 0.0, None).data
         np.testing.assert_array_equal(dropped, want)
-        with pytest.raises(ConfigError):
-            tz.add_norm(x, y, gain, bias, 0.5, None, True)
 
     def test_attention_matches_per_head_oracle(self):
         rng = Rng(8)
@@ -121,7 +119,7 @@ class TestForwardSemantics:
         v = rng.normal(0, 1, (2, 5, 4))
         mask = np.where(rng.random((3, 5)) < 0.3, -np.inf, 0.0)
         mask[:, 0] = 0.0
-        out, weights = tz.attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.0, None, False, mask)
+        out, weights = tz.attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.0, None, mask)
         for h in range(2):
             qh, kh = q[..., 3 * h : 3 * h + 3], k[..., 3 * h : 3 * h + 3]
             vh = v[..., 2 * h : 2 * h + 2]
@@ -134,40 +132,49 @@ class TestForwardSemantics:
     def test_attention_shape_errors(self):
         x = Tensor(np.ones((1, 3, 4)))
         with pytest.raises(ShapeError):
-            tz.attention(x, x, x, 3, 0.0, None, False)  # width 4 over 3 heads
+            tz.attention(x, x, x, 3, 0.0, None)  # width 4 over 3 heads
         with pytest.raises(ShapeError):
-            tz.attention(x, Tensor(np.ones((1, 3, 2))), x, 1, 0.0, None, False)
+            tz.attention(x, Tensor(np.ones((1, 3, 2))), x, 1, 0.0, None)
         with pytest.raises(ShapeError):
-            tz.attention(Tensor(np.ones((1, 1, 3, 4))), x, x, 1, 0.0, None, False)
+            tz.attention(Tensor(np.ones((1, 1, 3, 4))), x, x, 1, 0.0, None)
 
     def test_relu_clamps_negatives(self):
         out = tz.relu(Tensor([-2.0, 0.0, 3.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 3.0])
 
-    def test_gelu_known_values(self):
-        # gelu(0) = 0, and gelu is ~identity for large positive inputs.
-        out = tz.gelu(Tensor([0.0, 10.0, -10.0]))
-        np.testing.assert_allclose(out.data, [0.0, 10.0, 0.0], atol=1e-8)
-
     def test_dropout_eval_mode_is_identity(self):
         x = Tensor(Rng(4).normal(0, 1, (5, 5)))
-        out = tz.dropout(x, 0.5, None, training=False)
+        out = tz.dropout(x, 0.5, None)
         assert out is x
 
     def test_dropout_zero_rate_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        assert tz.dropout(x, 0.0, Rng(0), training=True) is x
+        assert tz.dropout(x, 0.0, Rng(0)) is x
 
     def test_dropout_preserves_expectation(self):
         x = Tensor(np.ones((200, 200)))
-        out = tz.dropout(x, 0.3, Rng(5), training=True)
+        out = tz.dropout(x, 0.3, Rng(5))
         kept = out.data != 0.0
         assert abs(kept.mean() - 0.7) < 0.01
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.7)
 
     def test_dropout_bad_rate(self):
         with pytest.raises(ConfigError):
-            tz.dropout(Tensor(np.ones(3)), 1.0, Rng(0), training=True)
+            tz.dropout(Tensor(np.ones(3)), 1.0, Rng(0))
+
+    def test_an_rng_alone_turns_dropout_on(self):
+        x = Tensor(np.ones((20, 20)))
+        assert tz.dropout(x, 0.3, None) is x
+        keep = (Rng(5).random((20, 20)) >= 0.3) / 0.7
+        np.testing.assert_array_equal(tz.dropout(x, 0.3, Rng(5)).data, keep)
+        q = Tensor(Rng(6).normal(0, 1, (1, 8, 4)))
+        for attend in (
+            lambda rate, rng: tz.attention(q, q, q, 2, rate, rng)[0],
+            lambda rate, rng: tz.local_attention(q, q, q, 2, 2, 1, rate, rng),
+        ):
+            plain = attend(0.0, None).data
+            np.testing.assert_array_equal(attend(0.5, None).data, plain)
+            assert not np.array_equal(attend(0.5, Rng(7)).data, plain)
 
 
 class TestCausalConv:
@@ -282,15 +289,11 @@ class TestGradients:
         x.data += 0.05 * np.sign(x.data)  # keep clear of the kink at 0
         check(lambda: tz.tsum(tz.relu(x) * tz.relu(x)), {"x": x})
 
-    def test_gelu(self):
-        x = self.p((4, 4))
-        check(lambda: tz.tsum(tz.gelu(x)), {"x": x})
-
     def test_softmax(self):
         q, k, v = self.p((2, 3, 4)), self.p((2, 6, 4)), self.p((2, 6, 4))
         w = self.p((2, 3, 4))
         check(
-            lambda: tz.tsum(tz.attention(q, k, v, 1, 0.0, None, False)[0] * w),
+            lambda: tz.tsum(tz.attention(q, k, v, 1, 0.0, None)[0] * w),
             {"q": q, "k": k, "v": v, "w": w},
         )
 
@@ -300,7 +303,7 @@ class TestGradients:
         q, k, v = self.p((2, 3, 4)), self.p((2, 6, 4)), self.p((2, 6, 4))
         w = self.p((2, 3, 4))
         check(
-            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, False, mask)[0] * w),
+            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, mask)[0] * w),
             {"q": q, "k": k, "v": v, "w": w},
         )
 
@@ -308,7 +311,7 @@ class TestGradients:
         x, y, g, b = self.p((3, 8)), self.p((3, 8)), self.p((8,)), self.p((8,))
         w = self.p((3, 8))
         check(
-            lambda: tz.tsum(tz.add_norm(x, y, g, b, 0.0, None, False) * w),
+            lambda: tz.tsum(tz.add_norm(x, y, g, b, 0.0, None) * w),
             {"x": x, "y": y, "g": g, "b": b},
         )
 
@@ -318,7 +321,7 @@ class TestGradients:
         mask = np.zeros((4, 5))
         mask[0, 3:] = -2.5
         check(
-            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, False, mask)[0]),
+            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, mask)[0]),
             {"q": q, "k": k, "v": v},
         )
 
@@ -329,7 +332,7 @@ class TestGradients:
         mask[:, 4] = -np.inf
 
         def f():
-            out, _ = tz.attention(q, k, v, 1, 0.25, Rng(12), True, mask)
+            out, _ = tz.attention(q, k, v, 1, 0.25, Rng(12), mask)
             return tz.tsum(out * out)
 
         check(f, {"q": q, "k": k, "v": v})
@@ -355,14 +358,13 @@ class TestGradients:
             {"x": x, "kernel": kernel, "bias": bias},
         )
 
-    def test_reshape_transpose_getitem_concat(self):
+    def test_reshape_getitem_concat(self):
         a = self.p((4, 6))
         b = self.p((2, 6))
 
         def f():
             r = tz.reshape(a, (2, 2, 6))
-            t = tz.transpose(r, (1, 0, 2))
-            top = tz.getitem(t, (0,))
+            top = tz.getitem(r, (slice(None), 0))
             return tz.tsum(tz.concat([top, b], axis=0) * tz.concat([top, b], axis=0))
 
         check(f, {"a": a, "b": b})
@@ -386,7 +388,7 @@ class TestGradients:
         x = self.p((4, 4))
 
         def f():
-            return tz.tsum(tz.dropout(x, 0.4, Rng(99), training=True))
+            return tz.tsum(tz.dropout(x, 0.4, Rng(99)))
 
         check(f, {"x": x})
 
@@ -504,6 +506,3 @@ class TestRngAndInit:
     def test_finite_checks(self):
         t = Tensor(np.array([1.0, np.inf]))
         assert not t.is_finite()
-        with pytest.raises(NumericError):
-            t.assert_finite("probe")
-        Tensor(np.ones(3)).assert_finite()

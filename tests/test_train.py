@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from emoreg.data import SynthConfig, synth_generate
-from emoreg.errors import CapacityError, ConfigError, ContractError, InsufficientDataError
+from emoreg.errors import (
+    CapacityError,
+    ConfigError,
+    ContractError,
+    InsufficientDataError,
+    ShapeError,
+)
 from emoreg.model import EmotionRegressor, ModelConfig
 from emoreg.objective import MetricValue
 from emoreg.tensor import Rng, Tape, Tensor
@@ -261,6 +267,19 @@ class TestTrainRun:
                       data["train"], data["val"], log=logged.append)
         assert built == [] and logged == []
 
+    @pytest.mark.parametrize("split, modality", [("train", "audio"), ("val", "video")])
+    def test_feature_widths_checked_before_first_epoch(self, monkeypatch, split, modality):
+        built = []
+        monkeypatch.setattr(train_module, "EmotionRegressor", lambda *args: built.append(args))
+        data = tiny_data(seed=9)
+        sample = data[split][1]
+        sample.features[modality] = sample.features[modality][:, :5]
+        with pytest.raises(ShapeError, match=rf"{sample.sample_id}: modality '{modality}' has 5 "
+                                             r"features, model expects 8"):
+            train_run(tiny_model_config(), tiny_train_config(epochs=1),
+                      data["train"], data["val"])
+        assert built == []
+
     def test_long_training_samples_fit_as_segments(self):
         # 80-step training samples run as 40-step segments, inside max_steps.
         data = tiny_data(seed=9)
@@ -313,11 +332,15 @@ class TestEvaluate:
 
     def test_importance_collection(self):
         self.setup()
-        res = evaluate(
-            self.model, self.data["test"], self.stats, collect_importance=True
-        )
+        res = evaluate(self.model, self.data["test"], self.stats)
         assert set(res.importance) == {"audio", "video", "text"}
         assert sum(res.importance.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_importance_is_reported_but_not_serialized(self):
+        self.setup()
+        res = evaluate(self.model, self.data["test"], self.stats)
+        assert sum(res.importance.values()) == pytest.approx(1.0, abs=1e-9)
+        assert set(res.to_dict()) == {"ccc", "rmse", "per_sample_ccc"}
 
     def test_mixed_patterns_credit_the_right_modality(self):
         # Three samples, each missing a different modality, decode as one
@@ -328,8 +351,8 @@ class TestEvaluate:
         for s, drop in zip(tiny_data(seed=12, n_test=3)["test"], ("audio", "video", "text")):
             feats = {m: (None if m == drop else x) for m, x in s.features.items()}
             samples.append(type(s)(s.sample_id, s.timestamps, feats, s.labels))
-        mixed = evaluate(self.model, samples, self.stats, collect_importance=True)
-        alone = [evaluate(self.model, [s], self.stats, collect_importance=True) for s in samples]
+        mixed = evaluate(self.model, samples, self.stats)
+        alone = [evaluate(self.model, [s], self.stats) for s in samples]
         for s, res in zip(samples, alone):
             assert np.array_equal(mixed.predictions[s.sample_id], res.predictions[s.sample_id])
         for m in self.model_cfg.modalities:
@@ -380,8 +403,8 @@ class TestAblation:
             for sid, pred in want.predictions.items():
                 assert np.array_equal(got.predictions[sid], pred), (keep, sid)
             assert (got.ccc, got.rmse) == (want.ccc, want.rmse)
-            assert got.importance is None
-        full = evaluate(model, samples, stats, collect_importance=True)
+            assert got.importance == pytest.approx(want.importance, rel=1e-12)
+        full = evaluate(model, samples, stats)
         assert report.importance.keys() == full.importance.keys()
         for m, w in full.importance.items():
             assert report.importance[m] == pytest.approx(w, rel=1e-12)
