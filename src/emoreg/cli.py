@@ -13,14 +13,18 @@ Exit codes: 0 on success, 2 for configuration/usage mistakes, 1 for runtime
 failures.  Commands that produce a directory write a ``manifest.json`` first
 (the manifest records the fully materialized configuration and a wall-clock
 stamp; all other outputs are bit-reproducible for a fixed config and seed).
+A directory such a command created is removed again when the command fails
+with an emoreg error, so a rejected run does not block its corrected rerun.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
+import shutil
 import sys
 import traceback
 
@@ -78,12 +82,24 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _prepare_out_dir(out, force: bool):
-    if os.path.exists(out) and not force:
+@contextlib.contextmanager
+def _output_dir(out, force: bool):
+    """Create ``out`` (or reuse it under ``force``) for the body; if this call
+    created it and the body raises an ``EmoregError``, remove it again."""
+    created = not os.path.exists(out)
+    if not created and not os.path.isdir(out):
+        raise ConfigError(f"output path {out} exists and is not a directory")
+    if not created and not force:
         raise ConfigError(
             f"output directory {out} already exists; pass --force to reuse it"
         )
     os.makedirs(out, exist_ok=True)
+    try:
+        yield
+    except EmoregError:
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
 
 
 def _write_manifest(out, command: str, payload: dict):
@@ -153,14 +169,14 @@ def cmd_synth(args) -> int:
     consumed = set()
     synth_cfg = build_synth_config(raw, consumed)
     check_all_consumed(raw, consumed)
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(
-        args.out, "synth", {"seed": args.seed, "synth": synth_cfg.to_dict()}
-    )
-    data = synth_generate(synth_cfg, args.seed)
-    for split, samples in data.items():
-        write_dataset(args.out, split, samples)
-        print(f"wrote {len(samples)} samples to {os.path.join(args.out, split)}")
+    with _output_dir(args.out, args.force):
+        _write_manifest(
+            args.out, "synth", {"seed": args.seed, "synth": synth_cfg.to_dict()}
+        )
+        data = synth_generate(synth_cfg, args.seed)
+        for split, samples in data.items():
+            write_dataset(args.out, split, samples)
+            print(f"wrote {len(samples)} samples to {os.path.join(args.out, split)}")
     return 0
 
 
@@ -176,28 +192,28 @@ def cmd_train(args) -> int:
         train_cfg = type(train_cfg)(**fields)
     train_samples = load_dataset(args.data, "train", model_cfg.modalities)
     val_samples = load_dataset(args.data, "val", model_cfg.modalities)
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(
-        args.out,
-        "train",
-        {
-            "data": os.path.abspath(args.data),
-            "n_train": len(train_samples),
-            "n_val": len(val_samples),
-            "model": model_cfg.to_dict(),
-            "train": train_cfg.to_dict(),
-        },
-    )
-    log = None if args.quiet else print
-    result = train_run(model_cfg, train_cfg, train_samples, val_samples, log=log)
-    ckpt = os.path.join(args.out, CHECKPOINT_NAME)
-    save_checkpoint(
-        ckpt,
-        {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
-        result.model.parameters(),
-        result.norm_stats,
-    )
-    _write_json(os.path.join(args.out, "history.json"), result.history.to_dict())
+    with _output_dir(args.out, args.force):
+        _write_manifest(
+            args.out,
+            "train",
+            {
+                "data": os.path.abspath(args.data),
+                "n_train": len(train_samples),
+                "n_val": len(val_samples),
+                "model": model_cfg.to_dict(),
+                "train": train_cfg.to_dict(),
+            },
+        )
+        log = None if args.quiet else print
+        result = train_run(model_cfg, train_cfg, train_samples, val_samples, log=log)
+        ckpt = os.path.join(args.out, CHECKPOINT_NAME)
+        save_checkpoint(
+            ckpt,
+            {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
+            result.model.parameters(),
+            result.norm_stats,
+        )
+        _write_json(os.path.join(args.out, "history.json"), result.history.to_dict())
     print(
         f"best val ccc {result.history.best_val_ccc:.4f} "
         f"(epoch {result.history.best_epoch}); checkpoint at {ckpt}"
@@ -279,27 +295,27 @@ def cmd_experiment(args) -> int:
         split: load_dataset(args.data, split, model_cfg.modalities)
         for split in ("train", "val", "test")
     }
-    _prepare_out_dir(args.out, args.force)
-    _write_manifest(
-        args.out,
-        "experiment",
-        {
-            "data": os.path.abspath(args.data),
-            "model": model_cfg.to_dict(),
-            "train": train_cfg.to_dict(),
-            "seeds": seeds,
-            "alpha": alpha,
-            "elimination": elimination,
-        },
-    )
-    log = None if args.quiet else print
-    report = experiment_run(
-        model_cfg, train_cfg, datasets, seeds, elimination, alpha, log=log
-    )
-    text = render_experiment_report(report)
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write(text + "\n")
+    with _output_dir(args.out, args.force):
+        _write_manifest(
+            args.out,
+            "experiment",
+            {
+                "data": os.path.abspath(args.data),
+                "model": model_cfg.to_dict(),
+                "train": train_cfg.to_dict(),
+                "seeds": seeds,
+                "alpha": alpha,
+                "elimination": elimination,
+            },
+        )
+        log = None if args.quiet else print
+        report = experiment_run(
+            model_cfg, train_cfg, datasets, seeds, elimination, alpha, log=log
+        )
+        text = render_experiment_report(report)
+        _write_json(os.path.join(args.out, "report.json"), report.to_dict())
+        with open(os.path.join(args.out, "report.txt"), "w") as fh:
+            fh.write(text + "\n")
     print(text)
     return 0
 

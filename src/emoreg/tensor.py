@@ -2,7 +2,8 @@
 
 A lightweight tape records differentiable operations while a ``Tape`` context
 is active; ``Tape.backward`` replays it in reverse to populate ``.grad`` on
-every leaf that requires gradients.  Outside a tape, all operations are plain
+every leaf that requires gradients, releasing each intermediate gradient as
+soon as its op has consumed it.  Outside a tape, all operations are plain
 numpy computations with no recording overhead, which is what evaluation-mode
 forward passes use.
 
@@ -140,6 +141,10 @@ class Tape:
     backward pass walks the record in reverse, accumulating gradients with
     ``+=`` so that repeated ``backward`` calls without ``zero_grad`` on the
     leaves accumulate, as optimizer steps expect.
+
+    Only leaves (parameters and inputs) keep ``.grad`` after a pass: each
+    tape-produced tensor's gradient is released once its op has consumed it,
+    so the pass holds the gradients still to be consumed, not all of them.
     """
 
     def __init__(self, check_finite: bool = True):
@@ -161,26 +166,34 @@ class Tape:
         self._nodes.append((out, backward_fn, name))
 
     def backward(self, loss: Tensor):
-        """Populate ``.grad`` on every recorded leaf reachable from ``loss``."""
+        """Populate ``.grad`` on every recorded leaf reachable from ``loss``.
+
+        Each tape-produced tensor's ``.grad`` is set to None once its op has
+        consumed it, so afterwards only leaves hold gradients.  A pass that
+        raises (``NumericError``) clears the gradients it had not consumed,
+        so the next call starts clean.
+        """
         if loss.data.shape != ():
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
-        # Reset grads of tape-produced tensors so intermediate flow does not
-        # stack across repeated calls; leaf grads are left to accumulate.
-        for out, _, _ in self._nodes:
-            if out is not None:
-                out.grad = None
         loss.grad = np.ones((), dtype=np.float64)
-        for out, backward_fn, name in reversed(self._nodes):
-            if out is None:
-                backward_fn(None)
-                continue
-            if out.grad is None:
-                continue
-            if self.check_finite and not np.isfinite(out.grad).all():
-                raise NumericError(f"non-finite gradient flowing out of op {name!r}")
-            backward_fn(out.grad)
+        pending = reversed(self._nodes)
+        try:
+            for out, backward_fn, name in pending:
+                if out is None:
+                    backward_fn(None)
+                    continue
+                g, out.grad = out.grad, None
+                if g is None:
+                    continue
+                if self.check_finite and not np.isfinite(g).all():
+                    raise NumericError(f"non-finite gradient flowing out of op {name!r}")
+                backward_fn(g)
+        finally:
+            for out, _, _ in pending:  # left over only when a callback raised
+                if out is not None:
+                    out.grad = None
 
     def clear(self):
         self._nodes.clear()
@@ -367,11 +380,12 @@ def dropout(a: Tensor, rate: float, rng: Rng | None) -> Tensor:
     the rest by 1/(1-rate); without one, return ``a`` itself."""
     if not _dropout_on(rate, rng):
         return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(a.data.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
     tape = _recording(a)
-    out = _result(a.data * keep, tape)
+    out = _result(a.data * keep * scale, tape)
     if tape is not None:
-        tape.record(out, lambda g: _add_grad(a, g * keep), "dropout")
+        tape.record(out, lambda g: _add_grad(a, g * keep * scale), "dropout")
     return out
 
 
@@ -383,10 +397,9 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
     normalized over the last axis to zero mean and unit variance (variance
     offset 1e-5), then scaled by ``gain`` and shifted by ``bias``.
     """
-    keep = None
-    if _dropout_on(rate, rng):
-        keep = (rng.random(y.data.shape) >= rate) / (1.0 - rate)
-    s = x.data + (y.data if keep is None else y.data * keep)
+    keep = rng.random(y.data.shape) >= rate if _dropout_on(rate, rng) else None
+    scale = 1.0 / (1.0 - rate)
+    s = x.data + (y.data if keep is None else y.data * keep * scale)
     mu = s.mean(axis=-1, keepdims=True)
     sc = s - mu
     var = (sc * sc).mean(axis=-1, keepdims=True)
@@ -404,7 +417,7 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
             m2 = (gsn * sn).mean(axis=-1, keepdims=True)
             gs = inv * (gsn - m1 - sn * m2)
             _add_grad(x, gs)
-            _add_grad(y, gs if keep is None else gs * keep)
+            _add_grad(y, gs if keep is None else gs * keep * scale)
 
         tape.record(out, bw, "add_norm")
     return out
@@ -543,8 +556,14 @@ def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
                 gqh[..., qsl, :] += dq
                 gkh[..., ksl, :] += dk
             grads[0] *= scale
+            # Nothing else holds these arrays, so an input without a gradient
+            # takes its array as is, with no zeros-plus-copy.
             for t, gt in zip((q, k, v), grads):
-                _add_grad(t, gt)
+                if t.requires_grad:
+                    if t.grad is None:
+                        t.grad = gt
+                    else:
+                        t.grad += gt
 
         tape.record(out, bw, name)
     return out, p
@@ -763,6 +782,8 @@ class SequenceCache:
             def bw(_):
                 if self.grad_storage is not None:
                     _add_grad(row, self.grad_storage[..., idx : idx + 1, :])
+                    if idx == 0:  # the pass's last reader: release the storage
+                        self.grad_storage = None
 
             tape.record(None, bw, "cache_append")
 

@@ -106,6 +106,17 @@ class TestSynth:
         assert rc == 2
         assert "--force" in capsys.readouterr().err
 
+    def test_out_that_is_a_file_exits_2(self, workspace, capsys):
+        path = workspace / "a_file"
+        path.write_text("mine")
+        rc = main(
+            ["synth", "--config", str(workspace / "synth.cfg"),
+             "--out", str(path), "--force"]
+        )
+        assert rc == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert path.read_text() == "mine"
+
     def test_unknown_config_key(self, workspace, capsys):
         bad = workspace / "bad.cfg"
         bad.write_text("synth.n_stepss = 60\n")
@@ -187,6 +198,21 @@ class TestTrain:
         )
         assert rc == 1
         assert "max_steps=50" in capsys.readouterr().err
+
+    def test_rejected_run_leaves_no_directory(self, dataset, workspace, capsys):
+        out = workspace / "rejected"
+        cfg = workspace / "rejected.cfg"
+        cfg.write_text(TRAIN_CFG.replace("train.epochs = 4", "train.epochs = 1")
+                       + "model.max_steps = 50\n")
+        args = ["train", "--data", str(dataset), "--out", str(out),
+                "--config", str(cfg), "--quiet"]
+        assert main(args) == 1
+        assert not out.exists()
+        # An existing directory reused under --force is never removed.
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        assert main(args + ["--force"]) == 1
+        assert (out / "keep.txt").read_text() == "mine"
 
 
 class TestEval:
@@ -338,6 +364,19 @@ class TestExperimentCommand:
         )
         assert rc == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_rerun_after_rejected_alpha_needs_no_force(self, dataset, workspace, capsys):
+        out = workspace / "exp_rerun"
+        cfg = workspace / "rerun.cfg"
+        base = TRAIN_CFG.replace("train.epochs = 4", "train.epochs = 1") + "eliminate.audio = 0.3\n"
+        args = ["experiment", "--data", str(dataset), "--out", str(out),
+                "--config", str(cfg), "--seeds", "0,1", "--quiet"]
+        cfg.write_text(base + "experiment.alpha = 7\n")
+        assert main(args) == 2
+        assert not out.exists()
+        cfg.write_text(base + "experiment.alpha = 0.1\n")
+        assert main(args) == 0
+        assert json.loads((out / "report.json").read_text())["alpha"] == pytest.approx(0.1)
 
     def test_requires_elimination(self, dataset, workspace, capsys):
         cfg = workspace / "noelim.cfg"

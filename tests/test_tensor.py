@@ -11,6 +11,8 @@ from emoreg.errors import (
     NumericError,
     ShapeError,
 )
+from emoreg.model import EmotionRegressor, ModelConfig
+from emoreg.objective import ccc_loss
 from emoreg.tensor import (
     Rng,
     SequenceCache,
@@ -434,6 +436,136 @@ class TestTape:
         tape.backward(loss)
         assert c.grad is None
         np.testing.assert_allclose(x.grad, np.ones(3))
+
+    def test_failed_backward_leaves_no_stale_gradient(self):
+        # y1's gradient is set before y2's op raises, and y1's own op has
+        # not run yet; the next pass on this tape must not start from it.
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        with Tape() as tape:
+            y1 = x * w
+            y2 = x * w
+            bad = tz.tsum(y1) + tz.tsum(y2 * Tensor(np.array([np.inf, 1.0])))
+        with pytest.raises(NumericError):
+            tape.backward(bad)
+        assert all(out is None or out.grad is None for out, _, _ in tape._nodes)
+        x.zero_grad()
+        w.zero_grad()
+        with tape:
+            good = tz.tsum(y1 * y1)
+        tape.backward(good)
+        np.testing.assert_array_equal(x.grad, 2.0 * (x.data * w.data) * w.data)
+        np.testing.assert_array_equal(w.grad, 2.0 * (x.data * w.data) * x.data)
+
+
+def _tiny_train_step(dropout: float):
+    """One encoder-decoder training step: (tape, loss, parameters)."""
+    cfg = ModelConfig(
+        modalities=("a", "b"), modality_widths={"a": 3, "b": 2}, d_model=8,
+        enc_heads=2, enc_layers=1, dec_heads=2, dec_layers=2, conv_layers=2,
+        conv_kernel=3, d_ffn=16, head_hidden=4, mask_length=3, dropout=dropout,
+        max_steps=64,
+    )
+    model = EmotionRegressor(cfg, Rng(0))
+    data = Rng(1)
+    feats = {m: data.normal(0, 1, (2, 6, w)) for m, w in cfg.modality_widths.items()}
+    labels = np.tanh(data.normal(0, 1, (2, 6)).cumsum(axis=1))
+    with Tape() as tape:
+        preds, _, _ = model.forward(feats, rng=Rng(2) if dropout else None)
+        loss = ccc_loss(preds, labels)
+    return tape, loss, model.parameters()
+
+
+class TestFreedState:
+    def test_only_leaves_keep_gradients_after_a_train_step(self):
+        tape, loss, params = _tiny_train_step(dropout=0.3)
+        tape.backward(loss)
+        held = [name for out, _, name in tape._nodes if out is not None and out.grad is not None]
+        assert held == []
+        assert all(p.grad is not None for p in params.values())
+
+    def test_repeated_backward_through_decoder_caches_doubles(self):
+        tape, loss, params = _tiny_train_step(dropout=0.0)
+        tape.backward(loss)
+        first = {k: p.grad.copy() for k, p in params.items()}
+        scale = max(np.abs(g).max() for g in first.values())
+        tape.backward(loss)
+        for k, p in params.items():
+            assert np.abs(p.grad - 2.0 * first[k]).max() <= 1e-12 * scale, k
+
+    def test_repeated_backward_through_a_cache_doubles(self):
+        rows = [Tensor(Rng(i).normal(0, 1, (1, 3)), requires_grad=True) for i in range(3)]
+        with Tape() as tape:
+            cache = SequenceCache((), capacity=3, feature_dim=3)
+            total = None
+            for r in rows:
+                cache.append(r)
+                part = tz.tsum(cache.read() * cache.read())
+                total = part if total is None else total + part
+        tape.backward(total)
+        first = [r.grad.copy() for r in rows]
+        tape.backward(total)
+        for r, g in zip(rows, first):
+            np.testing.assert_array_equal(r.grad, 2.0 * g)
+        assert cache.grad_storage is None
+
+    def test_dropout_matches_float_mask_formula(self):
+        rng = Rng(30)
+        a = Tensor(rng.normal(0, 1, (3, 5, 7)), requires_grad=True)
+        w = rng.normal(0, 1, (3, 5, 7))
+        rate = 0.3
+        with Tape() as tape:
+            out = tz.dropout(a, rate, Rng(31))
+            loss = tz.tsum(out * Tensor(w))
+        tape.backward(loss)
+        mask = (Rng(31).random(a.shape) >= rate) / (1.0 - rate)
+        assert out.data.tobytes() == (a.data * mask).tobytes()
+        np.testing.assert_array_equal(a.grad, w * mask)
+
+    def test_add_norm_matches_float_mask_formula(self):
+        rng = Rng(32)
+        x = Tensor(rng.normal(0, 1, (2, 4, 6)), requires_grad=True)
+        y = Tensor(rng.normal(0, 1, (2, 4, 6)), requires_grad=True)
+        gain = Tensor(rng.normal(1, 0.1, (6,)), requires_grad=True)
+        bias = Tensor(rng.normal(0, 0.1, (6,)), requires_grad=True)
+        w = Tensor(rng.normal(0, 1, (2, 4, 6)))
+        rate = 0.35
+        with Tape() as tape:
+            out = tz.add_norm(x, y, gain, bias, rate, Rng(33))
+            loss = tz.tsum(out * w)
+        tape.backward(loss)
+        got = [out.data, x.grad, y.grad, gain.grad, bias.grad]
+        # The same node without dropout, fed y times the float mask.
+        mask = (Rng(33).random(y.shape) >= rate) / (1.0 - rate)
+        ym = Tensor(y.data * mask, requires_grad=True)
+        for p in (x, gain, bias):
+            p.zero_grad()
+        with Tape() as tape:
+            ref = tz.add_norm(x, ym, gain, bias, rate, None)
+            loss = tz.tsum(ref * w)
+        tape.backward(loss)
+        want = [ref.data, x.grad, ym.grad * mask, gain.grad, bias.grad]
+        assert got[0].tobytes() == want[0].tobytes()
+        for g, e in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, e)
+
+    def test_attention_input_used_three_times_accumulates(self):
+        # q, k and v are one tensor: the first gradient handed over must
+        # then take the other two with +=, as three separate inputs would.
+        rng = Rng(34)
+        data = rng.normal(0, 1, (2, 5, 4))
+        w = Tensor(rng.normal(0, 1, (2, 5, 4)))
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            out, _ = tz.attention(x, x, x, 2, 0.2, Rng(35))
+            loss = tz.tsum(out * w)
+        tape.backward(loss)
+        parts = [Tensor(data.copy(), requires_grad=True) for _ in range(3)]
+        with Tape() as tape:
+            out, _ = tz.attention(*parts, 2, 0.2, Rng(35))
+            loss = tz.tsum(out * w)
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, parts[0].grad + parts[1].grad + parts[2].grad)
 
 
 class TestSequenceCache:
