@@ -5,9 +5,10 @@ All layer forwards take and return batched token-major 3-D tensors
 ``tensor.attention`` / ``tensor.local_attention`` nodes, and every residual
 exit is one ``tensor.add_norm`` node.  A forward draws dropout exactly when
 it is passed an ``Rng`` (and its rate is above 0); without one it is
-deterministic.  Modules expose their parameters through ``parameters(prefix)``,
-which yields a flat name -> Tensor mapping used by the optimizer,
-checkpointing, and gradient checking.
+deterministic.  ``DecoderLayer`` has no forward of its own: it holds the
+weights that the ``tensor.decoder`` node runs.  Modules expose their
+parameters through ``parameters(prefix)``, which yields a flat name -> Tensor
+mapping used by the optimizer, checkpointing, and gradient checking.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ class MultiHeadAttention:
     """Scaled dot-product attention with per-head projections.
 
     Tensors stay token-major [batch, tokens, width]; ``tz.attention`` and
-    ``tz.local_attention`` split heads inside their one node.  Exposes a
-    one-shot ``__call__`` for full-sequence attention and a split API
-    (``project_kv`` / ``attend``) so incremental decoding can cache key and
-    value projections instead of recomputing them each step.
+    ``tz.local_attention`` split heads inside their one node.  ``__call__``
+    projects keys and values and attends; ``project_kv`` and ``attend`` are
+    its two halves, for callers that project keys and values once and attend
+    to them later (the decoder's cross-attention, whose loop runs in
+    ``tz.decoder``).
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: Rng, dropout: float = 0.0):
@@ -246,44 +248,29 @@ class EncoderLayer:
 
 
 class DecoderLayer:
-    """Post-norm decoder layer: causal self-attention over the decoded past,
-    cross-attention over the current step's per-modality encoder outputs,
-    then feed-forward.
+    """Weights of one post-norm decoder layer: causal self-attention over the
+    decoded past, cross-attention over the current step's per-modality
+    encoder outputs, then feed-forward, each closed by an ``AddNorm``.
 
-    ``step`` runs one decode step; the caller owns the key/value caches: it
-    appends this step's self-attention KV rows, passes the prefix back in, and
-    passes the cross-attention KV already sliced to the current step.
+    The decode loop runs in ``tz.decoder``, which reads them through
+    ``weights``; the cross-attention keys and values are projected once per
+    decode with ``cross_attn.project_kv``.
     """
 
-    def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng,
-                 dropout: float = 0.0):
-        self.self_attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
-        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng, dropout)
-        self.ffn = FeedForward(d_model, d_ffn, rng, dropout)
-        self.norm1 = AddNorm(d_model, dropout)
-        self.norm2 = AddNorm(d_model, dropout)
-        self.norm3 = AddNorm(d_model, dropout)
+    def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng):
+        self.self_attn = MultiHeadAttention(d_model, n_heads, rng)
+        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng)
+        self.ffn = FeedForward(d_model, d_ffn, rng)
+        self.norm1 = AddNorm(d_model)
+        self.norm2 = AddNorm(d_model)
+        self.norm3 = AddNorm(d_model)
 
-    def step(
-        self,
-        x_t: Tensor,
-        k_hist: Tensor,
-        v_hist: Tensor,
-        k_cross: Tensor,
-        v_cross: Tensor,
-        rng: Rng | None = None,
-    ) -> tuple:
-        """One decode step; history tensors already include the current step.
-
-        Returns the layer output and the cross-attention weights, an array
-        [batch, heads, 1, n_cross].
-        """
-        a, _ = self.self_attn.attend(x_t, k_hist, v_hist, None, rng)
-        h1 = self.norm1(x_t, a, rng)
-        c, cross_probs = self.cross_attn.attend(h1, k_cross, v_cross, None, rng)
-        h2 = self.norm2(h1, c, rng)
-        out = self.norm3(h2, self.ffn(h2, rng), rng)
-        return out, cross_probs
+    def weights(self) -> tuple:
+        """(w, b) and (gain, bias) pairs in the order ``tz.decoder`` reads them."""
+        sa, ca, ffn = self.self_attn, self.cross_attn, self.ffn
+        linears = (sa.wq, sa.wk, sa.wv, sa.wo, ca.wq, ca.wo, ffn.w1, ffn.w2)
+        norms = (self.norm1, self.norm2, self.norm3)
+        return tuple((m.w, m.b) for m in linears) + tuple((n.gain, n.bias) for n in norms)
 
     def parameters(self, prefix: str) -> dict:
         out = self.self_attn.parameters(f"{prefix}.self_attn")

@@ -17,12 +17,13 @@ step's per-modality encoder outputs, and a feed-forward block; a small
 regression head maps the top-layer feature to the predicted value.  Decoding
 is free-running: gradients flow through the whole unrolled sequence.
 
-``decode`` keeps per-layer token-major self-attention key/value caches and
-runs ``DecoderLayer.step`` once per layer and step: each attention is one
-``tensor.attention`` node and each residual exit one ``tensor.add_norm`` node.
-Rows of a batch are decoded independently, so encodings of different
-modality patterns with the same modality count can share one decode loop;
-importance is therefore reported per row.
+``decode`` projects each layer's cross-attention keys and values once, then
+runs the whole step loop as one ``tensor.decoder`` node, which keeps the
+self-attention keys and values in per-layer buffers and differentiates the
+loop by hand, walking time in reverse.  Rows of a batch are decoded
+independently, so encodings of different modality patterns with the same
+modality count can share one decode loop; importance is therefore reported
+per row.
 
 ``encode``, ``decode`` and ``forward`` draw dropout exactly when they are
 passed an ``Rng``: training passes one, evaluation does not.
@@ -54,7 +55,7 @@ from .layers import (
     EncodingTable,
     RegressionHead,
 )
-from .tensor import Rng, SequenceCache, Tensor
+from .tensor import Rng, Tensor
 
 
 @dataclass
@@ -125,7 +126,7 @@ class EmotionRegressor:
             rng.child("start").normal(0.0, 0.02, (c.d_model,)), requires_grad=True
         )
         self.decoder = [
-            DecoderLayer(c.d_model, c.dec_heads, c.d_ffn, rng.child(f"dec/{i}"), c.dropout)
+            DecoderLayer(c.d_model, c.dec_heads, c.d_ffn, rng.child(f"dec/{i}"))
             for i in range(c.dec_layers)
         ]
         self.head = RegressionHead(c.d_model, c.head_hidden, rng.child("head"))
@@ -163,7 +164,9 @@ class EmotionRegressor:
         ``features`` maps modality name -> array [batch, steps, feat] (absent
         or None entries are treated as missing).  Returns the grouped encoder
         output and the list of modality names actually used, in config order.
-        A sequence longer than ``max_steps`` raises ``CapacityError``.
+        A sequence longer than ``max_steps`` raises ``CapacityError``; an
+        empty batch, zero steps or modalities that disagree on either raise
+        ``ShapeError``.
         """
         c = self.config
         present = self.available_modalities(features)
@@ -180,14 +183,18 @@ class EmotionRegressor:
                     f"modality {m!r} has width {x.shape[-1]}, expected "
                     f"{c.modality_widths[m]}"
                 )
+            if 0 in x.shape:
+                raise ShapeError(f"modality {m!r} has an empty batch or no steps: {x.shape}")
             if n_steps is None:
-                n_steps = x.shape[1]
+                batch, n_steps = x.shape[:2]
                 if n_steps > c.max_steps:
                     raise CapacityError(
                         f"sequence of {n_steps} steps exceeds max_steps={c.max_steps}"
                     )
             elif x.shape[1] != n_steps:
                 raise ShapeError("modalities disagree on sequence length")
+            elif x.shape[0] != batch:
+                raise ShapeError("modalities disagree on batch size")
             front = self.conv_fronts[m](Tensor(x), rng)
             mi = c.modalities.index(m)
             token = front + self.enc_positions.rows(0, n_steps) + self.modality_codes.rows(mi, 1)
@@ -206,41 +213,32 @@ class EmotionRegressor:
     # Decoder
 
     def decode(self, encoded: Tensor, rng: Rng | None = None) -> tuple:
-        """Free-running cached decode.
+        """Free-running decode of [batch, steps, n_mod, d_model] encodings.
 
         Returns (predictions [batch, steps], importance [batch, n_mod]).  A
         row's importance is the mean cross-attention weight each modality
         receives, averaged over steps, heads, and decoder layers.
         """
-        b, n_steps, n_mod, d = encoded.data.shape
+        c = self.config
+        shape = encoded.data.shape
+        if len(shape) != 4 or shape[-1] != c.d_model or 0 in shape:
+            raise ShapeError(
+                f"decode needs non-empty [batch, steps, n_mod, {c.d_model}] encodings, "
+                f"got {shape}"
+            )
+        b, n_steps, n_mod, d = shape
         # Cross-attention K/V for all steps, projected once per layer from the
         # step-major flattening: the M tokens of step t sit at [t*M, (t+1)*M).
         cross = [
             layer.cross_attn.project_kv(tz.reshape(encoded, (b, n_steps * n_mod, d)))
             for layer in self.decoder
         ]
-        caches = [
-            (SequenceCache((b,), n_steps, d), SequenceCache((b,), n_steps, d))
-            for _ in self.decoder
-        ]
-        x = Tensor(np.zeros((b, 1, d))) + self.start_vector + self.dec_positions.rows(0, 1)
-        outputs = []
-        importance = np.zeros((b, n_mod))
-        for t in range(n_steps):
-            sl = (slice(None), slice(t * n_mod, (t + 1) * n_mod))
-            h = x
-            for layer, (kc, vc), (k_all, v_all) in zip(self.decoder, caches, cross):
-                k_row, v_row = layer.self_attn.project_kv(h)
-                kc.append(k_row)
-                vc.append(v_row)
-                h, cross_probs = layer.step(h, kc.read(), vc.read(), k_all[sl], v_all[sl], rng)
-                importance += cross_probs.mean(axis=(1, 2))
-            outputs.append(h)
-            if t + 1 < n_steps:
-                x = h + self.dec_positions.rows(t + 1, 1)
-        feats = tz.concat(outputs, axis=-2)
+        x0 = Tensor(np.zeros((b, 1, d))) + self.start_vector + self.dec_positions.rows(0, 1)
+        feats, importance = tz.decoder(
+            x0, self.dec_positions.table, [layer.weights() for layer in self.decoder], cross,
+            n_mod, c.dec_heads, c.dropout, rng,
+        )
         preds = tz.reshape(self.head(feats), (b, n_steps))
-        importance /= n_steps * len(self.decoder)
         return preds, importance
 
     # ------------------------------------------------------------------

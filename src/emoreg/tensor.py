@@ -389,6 +389,35 @@ def dropout(a: Tensor, rate: float, rng: Rng | None) -> Tensor:
     return out
 
 
+def _add_norm_forward(x, y, gain, bias, rate: float, rng: Rng | None) -> tuple:
+    """Array forward of ``add_norm``: (output, state for ``_add_norm_backward``)."""
+    keep = rng.random(y.shape) >= rate if _dropout_on(rate, rng) else None
+    scale = 1.0 / (1.0 - rate)
+    s = x + (y if keep is None else y * keep * scale)
+    d = s.shape[-1]
+    # np.add.reduce(...) / d is what ndarray.mean computes, without its wrapper.
+    mu = np.add.reduce(s, axis=-1, keepdims=True) / d
+    sc = s - mu
+    var = np.add.reduce(sc * sc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    sn = sc * inv
+    return sn * gain + bias, (sn, inv, keep, scale)
+
+
+def _add_norm_backward(g, state, gain: Tensor, bias: Tensor) -> tuple:
+    """Accumulate the gain and bias gradients of one ``add_norm``; return the
+    gradients (gx, gy) of its residual and sublayer inputs."""
+    sn, inv, keep, scale = state
+    _add_grad(gain, g * sn)
+    _add_grad(bias, g)
+    gsn = g * gain.data
+    d = gsn.shape[-1]
+    m1 = np.add.reduce(gsn, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(gsn * sn, axis=-1, keepdims=True) / d
+    gs = inv * (gsn - m1 - sn * m2)
+    return gs, (gs if keep is None else gs * keep * scale)
+
+
 def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
              rng: Rng | None) -> Tensor:
     """Residual exit of a sublayer as one node: ``layer_norm(x + dropout(y))``.
@@ -397,27 +426,15 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
     normalized over the last axis to zero mean and unit variance (variance
     offset 1e-5), then scaled by ``gain`` and shifted by ``bias``.
     """
-    keep = rng.random(y.data.shape) >= rate if _dropout_on(rate, rng) else None
-    scale = 1.0 / (1.0 - rate)
-    s = x.data + (y.data if keep is None else y.data * keep * scale)
-    mu = s.mean(axis=-1, keepdims=True)
-    sc = s - mu
-    var = (sc * sc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    sn = sc * inv
+    value, state = _add_norm_forward(x.data, y.data, gain.data, bias.data, rate, rng)
     tape = _recording(x, y, gain, bias)
-    out = _result(sn * gain.data + bias.data, tape)
+    out = _result(value, tape)
     if tape is not None:
 
         def bw(g):
-            _add_grad(gain, g * sn)
-            _add_grad(bias, g)
-            gsn = g * gain.data
-            m1 = gsn.mean(axis=-1, keepdims=True)
-            m2 = (gsn * sn).mean(axis=-1, keepdims=True)
-            gs = inv * (gsn - m1 - sn * m2)
-            _add_grad(x, gs)
-            _add_grad(y, gs if keep is None else gs * keep * scale)
+            gx, gy = _add_norm_backward(g, state, gain, bias)
+            _add_grad(x, gx)
+            _add_grad(y, gy)
 
         tape.record(out, bw, "add_norm")
     return out
@@ -446,26 +463,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _linear_forward(x, w, b):
+    """``x @ w + b`` on arrays; ``b`` may be None."""
+    y = np.matmul(x, w)
+    if b is not None:
+        y += b
+    return y
+
+
+def _linear_backward(g, x, w: Tensor, b: Tensor | None):
+    """Accumulate the weight gradient (one GEMM over all leading axes) and the
+    bias gradient of ``x @ w + b``; return the gradient of ``x``."""
+    d_in, d_out = w.data.shape
+    g2 = g.reshape(-1, d_out)
+    _add_grad(w, np.matmul(x.reshape(-1, d_in).T, g2))
+    if b is not None:
+        _add_grad(b, g2.sum(axis=0))
+    return np.matmul(g, w.data.T)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Fused ``x @ w + b`` with a single-GEMM weight gradient."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear width mismatch: {x.data.shape} @ {w.data.shape}")
-    y = np.matmul(x.data, w.data)
-    if b is not None:
-        y += b.data
     tape = _recording(x, w, b)
-    out = _result(y, tape)
+    out = _result(_linear_forward(x.data, w.data, None if b is None else b.data), tape)
     if tape is not None:
-        d_in, d_out = w.data.shape
-
-        def bw(g):
-            _add_grad(x, np.matmul(g, w.data.T))
-            g2 = g.reshape(-1, d_out)
-            _add_grad(w, np.matmul(x.data.reshape(-1, d_in).T, g2))
-            if b is not None:
-                _add_grad(b, g2.sum(axis=0))
-
-        tape.record(out, bw, "linear")
+        tape.record(out, lambda g: _add_grad(x, _linear_backward(g, x.data, w, b)), "linear")
     return out
 
 
@@ -501,21 +525,76 @@ def _block_backward(g, qd, k, v, p, keep, rate: float) -> tuple:
     to the pre-scaled queries ``qd``, so it still lacks the query scale."""
     inv_keep = 1.0 / (1.0 - rate)
     pd = p if keep is None else p * keep * inv_keep
-    gv = np.matmul(np.swapaxes(pd, -1, -2), g)
+    # With one query the key and value gradients are outer products: a
+    # broadcast multiply gives the same values faster than a K=1 matmul.
+    one_query = p.shape[-2] == 1
+    pt = np.swapaxes(pd, -1, -2)
+    gv = pt * g if one_query else np.matmul(pt, g)
     gp = np.matmul(g, np.swapaxes(v, -1, -2))
     if keep is not None:
         gp *= keep
         gp *= inv_keep
     gp -= (gp * p).sum(axis=-1, keepdims=True)
     gp *= p
-    return np.matmul(gp, k), np.matmul(np.swapaxes(gp, -1, -2), qd), gv
+    gpt = np.swapaxes(gp, -1, -2)
+    return np.matmul(gp, k), (gpt * qd if one_query else np.matmul(gpt, qd)), gv
+
+
+def _attention_forward(q, k, v, n_heads: int, rate: float, rng: Rng | None, blocks,
+                       save: bool) -> tuple:
+    """Array forward of the attention node over ``blocks``, (query slice, key
+    slice, additive mask or None) triples over tokens; ``rng`` is None unless
+    dropout is on.  Returns (output [batch, queries, width], weights of the
+    last block, state); the state keeps each block's weights and keep mask
+    for ``_attention_backward`` only when ``save``."""
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    qd = _heads(q, n_heads) * scale  # cheaper than scaling every score block
+    kh, vh = _heads(k, n_heads), _heads(v, n_heads)
+    y = np.empty((q.shape[0], q.shape[1], n_heads, v.shape[-1] // n_heads), dtype=np.float64)
+    yh = y.transpose(0, 2, 1, 3)
+    saved = []
+    for qsl, ksl, mask in blocks:
+        p, keep = _block_forward(
+            qd[..., qsl, :], kh[..., ksl, :], vh[..., ksl, :], mask, rate, rng, yh[..., qsl, :]
+        )
+        if save:
+            saved.append((qsl, ksl, p, keep))
+    return y.reshape(q.shape[0], q.shape[1], -1), p, (q.shape, scale, qd, kh, vh, saved)
+
+
+def _attention_backward(g, state, n_heads: int, rate: float, gk, gv):
+    """Add the key and value gradients of one attention node to the
+    token-major arrays ``gk`` and ``gv`` (views are fine); return the query
+    gradient as a fresh array."""
+    q_shape, scale, qd, kh, vh, saved = state
+    gh = _heads(g, n_heads)
+    gq = np.zeros(q_shape)
+    gqh, gkh, gvh = _heads(gq, n_heads), _heads(gk, n_heads), _heads(gv, n_heads)
+    for qsl, ksl, p, keep in saved:
+        dq, dk, dv = _block_backward(
+            gh[..., qsl, :], qd[..., qsl, :], kh[..., ksl, :], vh[..., ksl, :], p, keep, rate
+        )
+        gvh[..., ksl, :] += dv
+        gqh[..., qsl, :] += dq
+        gkh[..., ksl, :] += dk
+    gq *= scale
+    return gq
+
+
+def _hand_over(t: Tensor, g: np.ndarray):
+    """Accumulate ``g`` into ``t.grad``, where nothing else holds ``g``: an
+    input without a gradient takes the array as is, with no zeros-plus-copy."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = g
+        else:
+            t.grad += g
 
 
 def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
     """The node behind ``attention`` and ``local_attention``: runs the block
-    forward over ``blocks``, (query slice, key slice, additive mask or None)
-    triples over tokens, and records one backward for all of them.  Returns
-    (output, weights of the last block)."""
+    forward over ``blocks`` and records one backward for all of them.
+    Returns (output, weights of the last block)."""
     drop = _dropout_on(rate, rng)
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
     if (
@@ -526,44 +605,18 @@ def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
             f"attention needs token-major [batch, tokens, width] q/k/v whose widths "
             f"split into {n_heads} heads, got {qs}, {ks}, {vs}"
         )
-    scale = 1.0 / math.sqrt(qs[-1] // n_heads)
-    qd = _heads(q.data, n_heads) * scale  # cheaper than scaling every score block
-    kh, vh = _heads(k.data, n_heads), _heads(v.data, n_heads)
-    y = np.empty((qs[0], qs[1], n_heads, vs[-1] // n_heads), dtype=np.float64)
-    yh = y.transpose(0, 2, 1, 3)
     tape = _recording(q, k, v)
-    saved = []
-    for qsl, ksl, mask in blocks:
-        p, keep = _block_forward(
-            qd[..., qsl, :], kh[..., ksl, :], vh[..., ksl, :], mask, rate,
-            rng if drop else None, yh[..., qsl, :],
-        )
-        if tape is not None:
-            saved.append((qsl, ksl, p, keep))
-    out = _result(y.reshape(qs[0], qs[1], -1), tape)
+    y, p, state = _attention_forward(
+        q.data, k.data, v.data, n_heads, rate, rng if drop else None, blocks, tape is not None
+    )
+    out = _result(y, tape)
     if tape is not None:
 
         def bw(g):
-            gh = _heads(g, n_heads)
-            grads = [np.zeros(t.data.shape) for t in (q, k, v)]
-            gqh, gkh, gvh = (_heads(x, n_heads) for x in grads)
-            for qsl, ksl, p, keep in saved:
-                dq, dk, dv = _block_backward(
-                    gh[..., qsl, :], qd[..., qsl, :], kh[..., ksl, :], vh[..., ksl, :],
-                    p, keep, rate,
-                )
-                gvh[..., ksl, :] += dv
-                gqh[..., qsl, :] += dq
-                gkh[..., ksl, :] += dk
-            grads[0] *= scale
-            # Nothing else holds these arrays, so an input without a gradient
-            # takes its array as is, with no zeros-plus-copy.
-            for t, gt in zip((q, k, v), grads):
-                if t.requires_grad:
-                    if t.grad is None:
-                        t.grad = gt
-                    else:
-                        t.grad += gt
+            gk, gv = np.zeros(ks), np.zeros(vs)
+            gq = _attention_backward(g, state, n_heads, rate, gk, gv)
+            for t, gt in zip((q, k, v), (gq, gk, gv)):
+                _hand_over(t, gt)
 
         tape.record(out, bw, name)
     return out, p
@@ -742,63 +795,160 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Append-only sequence cache for incremental decoding
+# Autoregressive decoder
 
 
-class SequenceCache:
-    """Preallocated append-only buffer over the second-to-last axis.
+def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: int,
+            rate: float, rng: Rng | None) -> tuple:
+    """Free-running post-norm transformer decoder, the whole loop as one node.
 
-    Sequential decoding appends one position per step and repeatedly reads the
-    prefix written so far.  Reads return views of a single storage array, so
-    neither forward nor backward copies the quadratic total of prefixes that
-    per-step concatenation would.
+    ``x0`` [batch, 1, width] is the input of step 0; the input of step t > 0
+    is the previous step's top-layer output plus row t of ``positions``.
+    ``cross`` holds each layer's cross-attention (keys, values), [batch,
+    steps * n_mod, width] with step t's tokens at [t*n_mod, (t+1)*n_mod).
+    ``layers`` holds each layer's weights as (w, b) and (gain, bias) pairs:
+    self-attention q, k, v, o; cross-attention q, o; FFN 1, 2; norms 1, 2, 3.
+
+    At each step each layer runs self-attention over its own inputs so far,
+    ``add_norm``, cross-attention over the step's n_mod tokens, ``add_norm``,
+    the FFN (linear, relu, dropout, linear) and ``add_norm``, on the array
+    kernels of ``linear``, ``attention`` and ``add_norm``.  Self-attention
+    keys and values are projected once per step into [batch, steps, width]
+    buffers.  Dropout at ``rate`` is drawn exactly when ``rng`` is given.
+
+    Returns (outputs [batch, steps, width], importance [batch, n_mod]); a
+    row's importance is the mean cross-attention weight each of the n_mod
+    tokens receives, averaged over steps, heads and layers.  Under a tape
+    each step's activations are saved and the backward walks time in
+    reverse; without one nothing outlives its step but the key/value
+    buffers, so memory grows linearly in steps.
     """
-
-    def __init__(self, leading_shape, capacity: int, feature_dim: int):
-        self.storage = np.zeros(
-            tuple(leading_shape) + (capacity, feature_dim), dtype=np.float64
+    b, one, d = x0.data.shape
+    n_steps = cross[0][0].data.shape[1] // n_mod if cross and n_mod > 0 else 0
+    if (
+        one != 1 or not layers or len(layers) != len(cross) or n_steps < 1
+        or n_heads < 1 or d % n_heads
+        or any(t.data.shape != (b, n_steps * n_mod, d) for kv in cross for t in kv)
+    ):
+        raise ShapeError(
+            f"decoder needs a [batch, 1, width] start with width divisible by {n_heads} "
+            f"heads and per-layer [batch, steps * {n_mod}, width] cross keys and values, "
+            f"got {x0.data.shape} and {[t.data.shape for kv in cross for t in kv]}"
         )
-        self.grad_storage = None
-        self.capacity = capacity
-        self.length = 0
+    if positions.data.shape[0] < n_steps:
+        raise ShapeError(f"{n_steps} steps exceed the {positions.data.shape[0]} positions")
+    drop = rng if _dropout_on(rate, rng) else None
+    scale = 1.0 / (1.0 - rate)
+    whole = [(slice(None), slice(None), None)]
 
-    def _ensure_grad(self):
-        if self.grad_storage is None:
-            self.grad_storage = np.zeros_like(self.storage)
-        return self.grad_storage
+    def lin(x, wb):
+        return _linear_forward(x, wb[0].data, wb[1].data)
 
-    def append(self, row: Tensor):
-        """Write one position (shape [..., 1, feature]) at the current end."""
-        if self.length >= self.capacity:
-            raise ContractError("sequence cache is full")
-        if row.data.shape[-2] != 1:
-            raise ShapeError(f"cache rows must have length-1 axis, got {row.data.shape}")
-        idx = self.length
-        self.storage[..., idx, :] = row.data[..., 0, :]
-        self.length += 1
-        tape = _recording(row)
-        if tape is not None:
+    def norm(x, y, gb):
+        return _add_norm_forward(x, y, gb[0].data, gb[1].data, rate, drop)
 
-            def bw(_):
-                if self.grad_storage is not None:
-                    _add_grad(row, self.grad_storage[..., idx : idx + 1, :])
-                    if idx == 0:  # the pass's last reader: release the storage
-                        self.grad_storage = None
+    weights = [t for layer in layers for pair in layer for t in pair]
+    tape = _recording(x0, positions, *(t for kv in cross for t in kv), *weights)
+    hist = [(np.empty((b, n_steps, d)), np.empty((b, n_steps, d))) for _ in layers]
+    outputs = np.empty((b, n_steps, d))
+    importance = np.zeros((b, n_mod))
+    saved = []
+    x = x0.data
+    for t in range(n_steps):
+        now = slice(t * n_mod, (t + 1) * n_mod)
+        h = x
+        for (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3), (kh, vh), (kc, vc) in zip(
+            layers, hist, cross
+        ):
+            kh[:, t] = lin(h, sk)[:, 0]
+            vh[:, t] = lin(h, sv)[:, 0]
+            a, _, att_self = _attention_forward(
+                lin(h, sq), kh[:, : t + 1], vh[:, : t + 1], n_heads, rate, drop, whole,
+                tape is not None,
+            )
+            h1, norm1 = norm(h, lin(a, so), n1)
+            c, probs, att_cross = _attention_forward(
+                lin(h1, cq), kc.data[:, now], vc.data[:, now], n_heads, rate, drop, whole,
+                tape is not None,
+            )
+            importance += probs.mean(axis=(1, 2))
+            h2, norm2 = norm(h1, lin(c, co), n2)
+            z = lin(h2, f1)
+            r = np.maximum(z, 0.0)
+            keep = None if drop is None else drop.random(r.shape) >= rate
+            if keep is not None:
+                r = r * keep * scale
+            y, norm3 = norm(h2, lin(r, f2), n3)
+            if tape is not None:
+                saved.append((h, att_self, a, norm1, h1, att_cross, c, norm2, h2, z, keep, r,
+                              norm3))
+            h = y
+        outputs[:, t] = h[:, 0]
+        if t + 1 < n_steps:
+            x = h + positions.data[t + 1 : t + 2]
+    importance /= n_steps * len(layers)
+    out = _result(outputs, tape)
+    if tape is not None:
+        check_finite = tape.check_finite
 
-            tape.record(None, bw, "cache_append")
+        def bw(g):
+            # Zero-started gradient buffers, filled in the order a tape of
+            # per-step nodes fills them, and contiguous [batch, 1, width]
+            # rows as that tape had, so every sum comes out bit for bit the same.
+            ghist = [(np.zeros((b, n_steps, d)), np.zeros((b, n_steps, d))) for _ in layers]
+            gcross = [(np.zeros(kc.data.shape), np.zeros(vc.data.shape)) for kc, vc in cross]
+            states = iter(reversed(saved))
+            g_next = None  # gradient of the next step's input
+            for t in reversed(range(n_steps)):
+                now = slice(t * n_mod, (t + 1) * n_mod)
+                gh = g[:, t : t + 1]
+                gh = np.ascontiguousarray(gh) if g_next is None else gh + g_next
+                for l, (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3) in reversed(
+                    list(enumerate(layers))
+                ):
+                    h, att_self, a, norm1, h1, att_cross, c, norm2, h2, z, keep, r, norm3 = (
+                        next(states)
+                    )
+                    gk, gv = ghist[l]
+                    gkc, gvc = gcross[l]
+                    gh2, gf = _add_norm_backward(gh, norm3, *n3)
+                    gr = _linear_backward(gf, r, *f2)
+                    if keep is not None:
+                        gr = gr * keep * scale
+                    gh2 = gh2 + _linear_backward(gr * (z > 0.0), h2, *f1)
+                    gh1, gc = _add_norm_backward(gh2, norm2, *n2)
+                    gq = _attention_backward(
+                        _linear_backward(gc, c, *co), att_cross, n_heads, rate,
+                        gkc[:, now], gvc[:, now],
+                    )
+                    gh1 = gh1 + _linear_backward(gq, h1, *cq)
+                    gx, ga = _add_norm_backward(gh1, norm1, *n1)
+                    gq = _attention_backward(
+                        _linear_backward(ga, a, *so), att_self, n_heads, rate,
+                        gk[:, : t + 1], gv[:, : t + 1],
+                    )
+                    gx = gx + _linear_backward(gq, h, *sq)
+                    # Steps t..T-1 have all read row t of the history by now.
+                    gx += _linear_backward(np.ascontiguousarray(gv[:, t : t + 1]), h, *sv)
+                    gx += _linear_backward(np.ascontiguousarray(gk[:, t : t + 1]), h, *sk)
+                    if check_finite and not np.isfinite(gx).all():
+                        raise NumericError(
+                            f"non-finite gradient flowing out of op 'decoder' at step {t}, "
+                            f"layer {l}"
+                        )
+                    gh = gx
+                if t and positions.requires_grad:
+                    if positions.grad is None:
+                        positions.grad = np.zeros_like(positions.data)
+                    positions.grad[t : t + 1] += gh.sum(axis=(0,))
+                g_next = gh
+            _hand_over(x0, g_next)
+            for (kc, vc), (gkc, gvc) in zip(cross, gcross):
+                _hand_over(kc, gkc)
+                _hand_over(vc, gvc)
 
-    def read(self) -> Tensor:
-        """View of everything appended so far ([..., length, feature])."""
-        n = self.length
-        tape = current_tape()
-        out = Tensor(self.storage[..., :n, :], requires_grad=tape is not None)
-        if tape is not None:
-
-            def bw(g):
-                self._ensure_grad()[..., :n, :] += g
-
-            tape.record(out, bw, "cache_read")
-        return out
+        tape.record(out, bw, "decoder")
+    return out, importance
 
 
 # ---------------------------------------------------------------------------

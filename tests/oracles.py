@@ -13,7 +13,8 @@ def decode_uncached(model, encoded: Tensor) -> Tensor:
     through every decoder layer, with causal self-attention and
     cross-attention in which query position j sees only step j's modality
     tokens (both as additive masks on ``tz.attention``).  Exists to
-    cross-check the incremental path; evaluation mode only.
+    cross-check the decoder node's outputs and, under a tape, its gradients;
+    without dropout.
     """
     b, n_steps, n_mod, d = encoded.data.shape
     # Step-major flattening: the M tokens of step t sit at [t*M, (t+1)*M).

@@ -49,7 +49,6 @@ from emoreg.model import EmotionRegressor, ModelConfig, load_model_state
 from emoreg.objective import ccc, ccc_loss, holm_bonferroni, welch_t_test
 from emoreg.tensor import (
     Rng,
-    SequenceCache,
     Tensor,
     finite_difference_check,
 )
@@ -196,17 +195,8 @@ def _primitive_cases():
     cases.append(("concat", {"a": a, "b": b},
                   lambda a=a, b=b: _sq(tz.concat([a, b], axis=1))))
 
-    r0 = _param(rng, (2, 1, 4))
-    r1 = _param(rng, (2, 1, 4))
-    r2 = _param(rng, (2, 1, 4))
-
-    def f_cache(r0=r0, r1=r1, r2=r2):
-        cache = SequenceCache((2,), 3, 4)
-        for r in (r0, r1, r2):
-            cache.append(r)
-        return _sq(cache.read())
-
-    cases.append(("sequence_cache", {"r0": r0, "r1": r1, "r2": r2}, f_cache))
+    for _ in range(3):
+        _param(rng, (2, 1, 4))  # spent draws: later cases keep their inputs
 
     # Banded attention over time-major tokens: 40 steps span three or more
     # query chunks; M=1 and M=3, a zero band and one wider than the sequence.
@@ -224,6 +214,32 @@ def _primitive_cases():
         cases.append((f"local_attention[T={n_steps},M={n_mod},L={mask_length}]",
                       {"q": q, "k": k, "v": v}, f_local))
     assert 40 > 2 * tz._chunk_steps(5)  # the first case really spans 3 chunks
+
+    # The decoder node, three steps over two modality tokens per step: one
+    # layer with one head and dropout, two layers with two heads without.
+    batch, n_steps, n_mod, d, d_ffn = 2, 3, 2, 4, 6
+    for n_layers, n_heads, rate in ((1, 1, 0.3), (2, 2, 0.0)):
+        params = {"x0": _param(rng, (batch, 1, d)), "positions": _param(rng, (n_steps, d))}
+        cross, layers = [], []
+        for i in range(n_layers):
+            kv = (_param(rng, (batch, n_steps * n_mod, d)), _param(rng, (batch, n_steps * n_mod, d)))
+            widths = [(d, d)] * 6 + [(d, d_ffn), (d_ffn, d)]
+            pairs = [(_param(rng, shape), _param(rng, shape[1:])) for shape in widths]
+            pairs += [(Tensor(rng.uniform(0.5, 1.5, (d,)), requires_grad=True), _param(rng, (d,)))
+                      for _ in range(3)]
+            cross.append(kv)
+            layers.append(tuple(pairs))
+            params.update({f"cross{i}.k": kv[0], f"cross{i}.v": kv[1]})
+            params.update({f"layer{i}.{j}.{w}": t for j, pair in enumerate(pairs)
+                           for w, t in zip("wb", pair)})
+
+        def f_decoder(p=params, layers=layers, cross=cross, h=n_heads, rate=rate):
+            # fresh Rng per call -> identical dropout on every evaluation
+            out, _ = tz.decoder(p["x0"], p["positions"], layers, cross, n_mod, h, rate, Rng(59))
+            return _sq(out)
+
+        cases.append((f"decoder[layers={n_layers},heads={n_heads},dropout={rate}]",
+                      params, f_decoder))
     return cases
 
 

@@ -241,31 +241,32 @@ class TestTransformerLayers:
         rng = Rng(15)
         layer = ly.DecoderLayer(8, 2, 16, rng)
         x_t = Tensor(rng.normal(0, 1, (2, 1, 8)))
-        k_hist, v_hist = layer.self_attn.project_kv(
-            Tensor(rng.normal(0, 1, (2, 3, 8)))
-        )
         k_cross, v_cross = layer.cross_attn.project_kv(
             Tensor(rng.normal(0, 1, (2, 4, 8)))
         )
-        out, cross_probs = layer.step(x_t, k_hist, v_hist, k_cross, v_cross)
+        positions = Tensor(rng.normal(0, 1, (1, 8)))
+        out, importance = tz.decoder(
+            x_t, positions, [layer.weights()], [(k_cross, v_cross)], 4, 2, 0.0, None
+        )
         assert out.data.shape == (2, 1, 8)
-        assert cross_probs.shape == (2, 2, 1, 4)
-        np.testing.assert_allclose(cross_probs.sum(axis=-1), 1.0, atol=1e-12)
+        assert importance.shape == (2, 4)
+        np.testing.assert_allclose(importance.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_decoder_step_gradients(self):
+        # Three decode steps of one layer: each step's self-attention reads
+        # the keys and values of the steps before it.
         rng = Rng(16)
         layer = ly.DecoderLayer(4, 2, 8, rng)
         x_t = Tensor(rng.normal(0, 1, (1, 1, 4)), requires_grad=True)
-        hist = Tensor(rng.normal(0, 1, (1, 2, 4)), requires_grad=True)
+        positions = Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
         cross = Tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True)
 
         def f():
-            k_h, v_h = layer.self_attn.project_kv(hist)
-            k_c, v_c = layer.cross_attn.project_kv(cross)
-            out, _ = layer.step(x_t, k_h, v_h, k_c, v_c)
+            kv = layer.cross_attn.project_kv(cross)
+            out, _ = tz.decoder(x_t, positions, [layer.weights()], [kv], 1, 2, 0.0, None)
             return tz.tsum(out * out)
 
-        params = dict(layer.parameters("dec"), x_t=x_t, hist=hist, cross=cross)
+        params = dict(layer.parameters("dec"), x_t=x_t, positions=positions, cross=cross)
         report = finite_difference_check(f, params)
         assert report.max_rel_err < 1e-5, str(report)
 

@@ -15,7 +15,6 @@ from emoreg.model import EmotionRegressor, ModelConfig
 from emoreg.objective import ccc_loss
 from emoreg.tensor import (
     Rng,
-    SequenceCache,
     Tape,
     Tensor,
     finite_difference_check,
@@ -493,22 +492,6 @@ class TestFreedState:
         for k, p in params.items():
             assert np.abs(p.grad - 2.0 * first[k]).max() <= 1e-12 * scale, k
 
-    def test_repeated_backward_through_a_cache_doubles(self):
-        rows = [Tensor(Rng(i).normal(0, 1, (1, 3)), requires_grad=True) for i in range(3)]
-        with Tape() as tape:
-            cache = SequenceCache((), capacity=3, feature_dim=3)
-            total = None
-            for r in rows:
-                cache.append(r)
-                part = tz.tsum(cache.read() * cache.read())
-                total = part if total is None else total + part
-        tape.backward(total)
-        first = [r.grad.copy() for r in rows]
-        tape.backward(total)
-        for r, g in zip(rows, first):
-            np.testing.assert_array_equal(r.grad, 2.0 * g)
-        assert cache.grad_storage is None
-
     def test_dropout_matches_float_mask_formula(self):
         rng = Rng(30)
         a = Tensor(rng.normal(0, 1, (3, 5, 7)), requires_grad=True)
@@ -568,52 +551,41 @@ class TestFreedState:
         np.testing.assert_array_equal(x.grad, parts[0].grad + parts[1].grad + parts[2].grad)
 
 
-class TestSequenceCache:
-    def test_append_read_roundtrip(self):
-        cache = SequenceCache((2,), capacity=5, feature_dim=3)
-        rows = [Rng(i).normal(0, 1, (2, 1, 3)) for i in range(4)]
-        for r in rows:
-            cache.append(Tensor(r))
-        got = cache.read().data
-        np.testing.assert_allclose(got, np.concatenate(rows, axis=1), atol=1e-15)
+class TestDecoderNode:
+    def test_non_finite_gradient_inside_raises(self, monkeypatch):
+        # A NaN born inside the decoder's backward (here in the lower layer's
+        # cross-attention at the last step) is caught before it leaves.
+        tape, loss, _ = _tiny_train_step(dropout=0.0)
+        real, calls = tz._block_backward, []
 
-    def test_capacity_enforced(self):
-        cache = SequenceCache((), capacity=1, feature_dim=2)
-        cache.append(Tensor(np.ones((1, 2))))
-        with pytest.raises(ContractError):
-            cache.append(Tensor(np.ones((1, 2))))
+        def poisoned(*args):
+            dq, dk, dv = real(*args)
+            calls.append(None)
+            return (dq * np.nan if len(calls) == 3 else dq), dk, dv
 
-    def test_gradient_matches_concat(self):
-        # An incremental cached reduction must backprop exactly like the
-        # equivalent concat-based computation.
-        rng = Rng(11)
-        rows = [Tensor(rng.normal(0, 1, (1, 4)), requires_grad=True) for _ in range(3)]
-        w = Tensor(rng.normal(0, 1, (4, 1)), requires_grad=True)
+        monkeypatch.setattr(tz, "_block_backward", poisoned)
+        with pytest.raises(NumericError, match="'decoder' at step 5, layer 0"):
+            tape.backward(loss)
 
+    def test_records_one_node_and_checks_shapes(self):
+        rng = Rng(40)
+        x0 = Tensor(rng.normal(0, 1, (2, 1, 4)), requires_grad=True)
+        positions = Tensor(rng.normal(0, 1, (3, 4)))
+        kv = (Tensor(rng.normal(0, 1, (2, 6, 4))), Tensor(rng.normal(0, 1, (2, 6, 4))))
+        pairs = tuple((Tensor(rng.normal(0, 1, (a, b))), Tensor(np.zeros(b)))
+                      for a, b in [(4, 4)] * 6 + [(4, 5), (5, 4)])
+        pairs += tuple((Tensor(np.ones(4)), Tensor(np.zeros(4))) for _ in range(3))
         with Tape() as tape:
-            cache = SequenceCache((), capacity=3, feature_dim=4)
-            total = None
-            for r in rows:
-                cache.append(r)
-                part = tz.tsum(tz.matmul(cache.read(), w))
-                total = part if total is None else total + part
-        tape.backward(total)
-        cached_grads = [r.grad.copy() for r in rows] + [w.grad.copy()]
-
-        for r in rows:
-            r.zero_grad()
-        w.zero_grad()
-        with Tape() as tape2:
-            total2 = None
-            for n in range(1, 4):
-                prefix = tz.concat(rows[:n], axis=0)
-                part = tz.tsum(tz.matmul(prefix, w))
-                total2 = part if total2 is None else total2 + part
-        tape2.backward(total2)
-        np.testing.assert_allclose(total.data, total2.data, atol=1e-12)
-        for got, r in zip(cached_grads, rows):
-            np.testing.assert_allclose(got, r.grad, atol=1e-12)
-        np.testing.assert_allclose(cached_grads[-1], w.grad, atol=1e-12)
+            out, importance = tz.decoder(x0, positions, [pairs], [kv], 2, 2, 0.0, None)
+        assert len(tape) == 1
+        assert out.data.shape == (2, 3, 4)
+        np.testing.assert_allclose(importance.sum(axis=-1), 1.0, atol=1e-12)
+        with pytest.raises(ShapeError):  # 3 tokens do not split into steps of 2
+            tz.decoder(x0, positions, [pairs], [(kv[0][:, :3], kv[1][:, :3])], 2, 2, 0.0, None)
+        with pytest.raises(ShapeError):  # 6 steps, 3 positions
+            tz.decoder(x0, positions, [pairs], [kv], 1, 2, 0.0, None)
+        with pytest.raises(ShapeError):  # width 4 does not split into 3 heads
+            tz.decoder(x0, positions, [pairs], [kv], 2, 3, 0.0, None)
 
 
 class TestRngAndInit:
