@@ -27,20 +27,13 @@ import os
 import shutil
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .configio import (
-    build_model_config,
-    build_synth_config,
-    build_train_config,
-    check_all_consumed,
-    load_config_file,
-    parse_float,
-    parse_int_list,
-)
-from .data import load_dataset, synth_generate, write_dataset
+from .configio import load_config_file, parse_int_list, read_config
+from .data import SynthConfig, load_dataset, synth_generate, write_dataset
 from .errors import ConfigError, DataLoadError, EmoregError
 from .model import (
     EmotionRegressor,
@@ -52,6 +45,8 @@ from .model import (
 from .objective import ccc, rmse
 from .tensor import Rng
 from .train import (
+    ExperimentConfig,
+    TrainConfig,
     ablation_study,
     evaluate,
     experiment_run,
@@ -165,10 +160,7 @@ def _find_sample(samples, sample_id: str):
 
 
 def cmd_synth(args) -> int:
-    raw = _load_raw_config(args.config)
-    consumed = set()
-    synth_cfg = build_synth_config(raw, consumed)
-    check_all_consumed(raw, consumed)
+    (synth_cfg,) = read_config(_load_raw_config(args.config), SynthConfig)
     with _output_dir(args.out, args.force):
         _write_manifest(
             args.out, "synth", {"seed": args.seed, "synth": synth_cfg.to_dict()}
@@ -181,15 +173,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = _load_raw_config(args.config)
-    consumed = set()
-    model_cfg = build_model_config(raw, consumed)
-    train_cfg = build_train_config(raw, consumed)
-    check_all_consumed(raw, consumed)
+    model_cfg, train_cfg = read_config(_load_raw_config(args.config), ModelConfig, TrainConfig)
     if args.seed is not None:
-        fields = train_cfg.to_dict()
-        fields["seed"] = args.seed
-        train_cfg = type(train_cfg)(**fields)
+        train_cfg = replace(train_cfg, seed=args.seed)
     train_samples = load_dataset(args.data, "train", model_cfg.modalities)
     val_samples = load_dataset(args.data, "val", model_cfg.modalities)
     with _output_dir(args.out, args.force):
@@ -255,37 +241,16 @@ def cmd_ablate(args) -> int:
     for m, w in sorted(report.importance.items()):
         print(f"  {m}  {w:.4f}")
     if args.out:
-        payload = {
-            "subsets": {
-                "+".join(k): {"ccc": ev.ccc, "rmse": ev.rmse}
-                for k, ev in report.subsets.items()
-            },
-            "importance": report.importance,
-            "split": args.split,
-        }
-        _write_json(args.out, payload)
+        _write_json(args.out, {**report.to_dict(), "split": args.split})
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_experiment(args) -> int:
-    raw = _load_raw_config(args.config)
-    consumed = set()
-    model_cfg = build_model_config(raw, consumed)
-    train_cfg = build_train_config(raw, consumed)
-    seeds = None
-    alpha = 0.05
-    if "experiment.seeds" in raw:
-        seeds = parse_int_list("experiment.seeds", raw["experiment.seeds"])
-        consumed.add("experiment.seeds")
-    if "experiment.alpha" in raw:
-        alpha = parse_float("experiment.alpha", raw["experiment.alpha"])
-        consumed.add("experiment.alpha")
-    check_all_consumed(raw, consumed)
-    if args.seeds is not None:
-        seeds = parse_int_list("--seeds", args.seeds)
-    if seeds is None:
-        seeds = list(range(10))
+    model_cfg, train_cfg, exp_cfg = read_config(
+        _load_raw_config(args.config), ModelConfig, TrainConfig, ExperimentConfig
+    )
+    seeds = exp_cfg.seeds if args.seeds is None else parse_int_list("--seeds", args.seeds)
     elimination = dict(train_cfg.elimination)
     if not elimination:
         raise ConfigError(
@@ -304,13 +269,13 @@ def cmd_experiment(args) -> int:
                 "model": model_cfg.to_dict(),
                 "train": train_cfg.to_dict(),
                 "seeds": seeds,
-                "alpha": alpha,
+                "alpha": exp_cfg.alpha,
                 "elimination": elimination,
             },
         )
         log = None if args.quiet else print
         report = experiment_run(
-            model_cfg, train_cfg, datasets, seeds, elimination, alpha, log=log
+            model_cfg, train_cfg, datasets, seeds, elimination, exp_cfg.alpha, log=log
         )
         text = render_experiment_report(report)
         _write_json(os.path.join(args.out, "report.json"), report.to_dict())

@@ -1,22 +1,33 @@
 """Flat ``key = value`` configuration files.
 
-One assignment per line, ``#`` comment lines, blank lines ignored.  Dotted
-keys select the component (``model.d_model``, ``train.learning_rate``,
-``synth.n_steps``); per-modality values use a trailing name segment
-(``model.width.audio``, ``synth.snr.video``, ``eliminate.audio``).  Keys
-that no component recognizes are an error, as are duplicates: silently
-ignoring a typo like ``train.learning_rte`` would change an experiment
-without anyone noticing.
+One assignment per line, ``#`` comment lines, blank lines ignored.  One
+reader, ``read_config``, turns the raw mapping into config dataclasses, one
+section per class::
+
+    class             scalar keys         per-name keys
+    ModelConfig       model.<field>       model.width.<modality> (int)
+    TrainConfig       train.<field>       eliminate.<modality> (float)
+    SynthConfig       synth.<field>       synth.width.<modality> (int),
+                                          synth.snr.<modality> (float)
+    ExperimentConfig  experiment.<field>  -
+
+A scalar key is parsed by its field's declared type: ``int``, ``float``
+(finite only), ``tuple`` (comma-separated names) or ``list`` (comma-separated
+ints).  A per-name table holds exactly the given keys when the section sets
+``modalities``, and otherwise lays them over the class defaults.  Keys that no
+class recognizes are an error, as are duplicates: silently ignoring a typo
+like ``train.learning_rte`` would change an experiment without anyone noticing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 from .data import SynthConfig
 from .errors import ConfigError
 from .model import ModelConfig
-from .train import TrainConfig
+from .train import ExperimentConfig, TrainConfig
 
 
 def parse_flat_config(text: str) -> dict:
@@ -54,11 +65,14 @@ def _as_int(key: str, value: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
-def parse_float(key: str, value: str) -> float:
+def _as_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_name_list(key: str, value: str) -> tuple:
@@ -72,98 +86,46 @@ def parse_int_list(key: str, value: str) -> list:
     return [_as_int(key, v) for v in value.split(",")]
 
 
-def _scalar_parsers(cls) -> dict:
-    """Value parser per int or float field of a config dataclass."""
-    kinds = {"int": _as_int, "float": parse_float}
-    return {f.name: kinds[f.type] for f in fields(cls) if f.type in kinds}
+# Keyed by annotation text: the config modules postpone annotation evaluation.
+_PARSERS = {"int": _as_int, "float": _as_float, "tuple": _as_name_list, "list": parse_int_list}
+
+# Per class: its section prefix and its per-name tables (key prefix ->
+# (dict field, value parser)).
+_SECTIONS = {
+    ModelConfig: ("model.", {"model.width.": ("modality_widths", _as_int)}),
+    TrainConfig: ("train.", {"eliminate.": ("elimination", _as_float)}),
+    SynthConfig: ("synth.", {"synth.width.": ("widths", _as_int),
+                             "synth.snr.": ("snr", _as_float)}),
+    ExperimentConfig: ("experiment.", {}),
+}
 
 
-_MODEL_SCALARS = _scalar_parsers(ModelConfig)
-
-
-def build_model_config(raw: dict, consumed: set) -> ModelConfig:
-    kwargs = {}
-    widths = {}
-    for key, value in raw.items():
-        if key == "model.modalities":
-            kwargs["modalities"] = _as_name_list(key, value)
-        elif key.startswith("model.width."):
-            widths[key[len("model.width."):]] = _as_int(key, value)
-        elif key.startswith("model."):
-            name = key[len("model."):]
-            if name not in _MODEL_SCALARS:
+def read_config(raw: dict, *classes) -> tuple:
+    """One config per class, read from a raw flat mapping; any key that none
+    of the classes claims is rejected."""
+    claimed = set()
+    configs = []
+    for cls in classes:
+        section, tables = _SECTIONS[cls]
+        scalars = {f.name: _PARSERS[f.type] for f in fields(cls) if f.type in _PARSERS}
+        kwargs = {}
+        given = {name: {} for name, _ in tables.values()}
+        for key, value in raw.items():
+            prefix = next((p for p in tables if key.startswith(p)), None)
+            if prefix is not None:
+                name, parse = tables[prefix]
+                given[name][key[len(prefix):]] = parse(key, value)
+            elif key.startswith(section) and key[len(section):] in scalars:
+                name = key[len(section):]
+                kwargs[name] = scalars[name](key, value)
+            else:
                 continue
-            kwargs[name] = _MODEL_SCALARS[name](key, value)
-        else:
-            continue
-        consumed.add(key)
-    if "modalities" in kwargs:
-        kwargs["modality_widths"] = widths
-    elif widths:
-        merged = dict(ModelConfig().modality_widths)
-        merged.update(widths)
-        kwargs["modality_widths"] = merged
-    return ModelConfig(**kwargs)
-
-
-_TRAIN_SCALARS = _scalar_parsers(TrainConfig)
-
-
-def build_train_config(raw: dict, consumed: set) -> TrainConfig:
-    kwargs = {}
-    elimination = {}
-    for key, value in raw.items():
-        if key.startswith("train."):
-            name = key[len("train."):]
-            if name not in _TRAIN_SCALARS:
-                continue
-            kwargs[name] = _TRAIN_SCALARS[name](key, value)
-        elif key.startswith("eliminate."):
-            elimination[key[len("eliminate."):]] = parse_float(key, value)
-        else:
-            continue
-        consumed.add(key)
-    if elimination:
-        kwargs["elimination"] = elimination
-    return TrainConfig(**kwargs)
-
-
-_SYNTH_SCALARS = _scalar_parsers(SynthConfig)
-
-
-def build_synth_config(raw: dict, consumed: set) -> SynthConfig:
-    kwargs = {}
-    widths = {}
-    snr = {}
-    for key, value in raw.items():
-        if key == "synth.modalities":
-            kwargs["modalities"] = _as_name_list(key, value)
-        elif key.startswith("synth.width."):
-            widths[key[len("synth.width."):]] = _as_int(key, value)
-        elif key.startswith("synth.snr."):
-            snr[key[len("synth.snr."):]] = parse_float(key, value)
-        elif key.startswith("synth."):
-            name = key[len("synth."):]
-            if name not in _SYNTH_SCALARS:
-                continue
-            kwargs[name] = _SYNTH_SCALARS[name](key, value)
-        else:
-            continue
-        consumed.add(key)
-    defaults = SynthConfig()
-    if "modalities" in kwargs:
-        kwargs["widths"] = widths
-        kwargs["snr"] = snr
-    else:
-        if widths:
-            kwargs["widths"] = {**defaults.widths, **widths}
-        if snr:
-            kwargs["snr"] = {**defaults.snr, **snr}
-    return SynthConfig(**kwargs)
-
-
-def check_all_consumed(raw: dict, consumed: set):
-    """Reject any config key no builder claimed."""
-    unknown = sorted(set(raw) - consumed)
+            claimed.add(key)
+        defaults = cls()
+        for name, table in given.items():
+            kwargs[name] = table if "modalities" in kwargs else {**getattr(defaults, name), **table}
+        configs.append(cls(**kwargs))
+    unknown = sorted(set(raw) - claimed)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return tuple(configs)

@@ -1,4 +1,4 @@
-"""Dict round trip shared by the dataclass configs (model, train, synth)."""
+"""Dict round trip shared by the dataclass configs (model, train, synth, experiment)."""
 
 from __future__ import annotations
 

@@ -147,9 +147,8 @@ class Tape:
     so the pass holds the gradients still to be consumed, not all of them.
     """
 
-    def __init__(self, check_finite: bool = True):
+    def __init__(self):
         self._nodes = []
-        self.check_finite = check_finite
 
     def __enter__(self):
         _push_tape(self)
@@ -187,7 +186,7 @@ class Tape:
                 g, out.grad = out.grad, None
                 if g is None:
                     continue
-                if self.check_finite and not np.isfinite(g).all():
+                if not np.isfinite(g).all():
                     raise NumericError(f"non-finite gradient flowing out of op {name!r}")
                 backward_fn(g)
         finally:
@@ -889,8 +888,6 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
     importance /= n_steps * len(layers)
     out = _result(outputs, tape)
     if tape is not None:
-        check_finite = tape.check_finite
-
         def bw(g):
             # Zero-started gradient buffers, filled in the order a tape of
             # per-step nodes fills them, and contiguous [batch, 1, width]
@@ -931,7 +928,7 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
                     # Steps t..T-1 have all read row t of the history by now.
                     gx += _linear_backward(np.ascontiguousarray(gv[:, t : t + 1]), h, *sv)
                     gx += _linear_backward(np.ascontiguousarray(gk[:, t : t + 1]), h, *sk)
-                    if check_finite and not np.isfinite(gx).all():
+                    if not np.isfinite(gx).all():
                         raise NumericError(
                             f"non-finite gradient flowing out of op 'decoder' at step {t}, "
                             f"layer {l}"

@@ -13,7 +13,7 @@ Holm-Bonferroni correction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -68,6 +68,14 @@ class TrainConfig(DictConfig):
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ConfigError("adam_eps must be > 0")
+
+
+@dataclass
+class ExperimentConfig(DictConfig):
+    """Seeds each variant trains with, and the Holm-corrected alpha."""
+
+    seeds: list = field(default_factory=lambda: list(range(10)))
+    alpha: float = 0.05
 
 
 class AdamOptimizer:
@@ -374,7 +382,8 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
 
 @dataclass
 class AblationReport:
-    """Metrics for every non-empty modality subset plus attention importance."""
+    """Metrics for every non-empty modality subset plus attention importance;
+    ``to_dict`` holds each subset's CCC and RMSE and the importance."""
 
     subsets: dict
     importance: dict
@@ -382,7 +391,7 @@ class AblationReport:
     def to_dict(self) -> dict:
         return {
             "subsets": {
-                "+".join(k): v.to_dict() for k, v in self.subsets.items()
+                "+".join(k): {"ccc": v.ccc, "rmse": v.rmse} for k, v in self.subsets.items()
             },
             "importance": self.importance,
         }
@@ -496,16 +505,13 @@ def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dic
     values = {}  # (variant, condition, metric) -> list over seeds
     for variant, policy in variants.items():
         for si, seed in enumerate(seeds):
-            cfg_fields = train_cfg.to_dict()
-            cfg_fields["seed"] = seed
-            cfg_fields["elimination"] = policy
-            tc = TrainConfig(**cfg_fields)
+            tc = replace(train_cfg, seed=seed, elimination=policy)
             result = train_run(model_cfg, tc, datasets["train"], datasets["val"])
-            for cond_name, keep in conditions:
-                ev = evaluate(
-                    result.model, datasets["test"], result.norm_stats,
-                    use_modalities=keep,
-                )
+            evals = _evaluate_subsets(
+                result.model, datasets["test"], result.norm_stats,
+                [keep for _, keep in conditions],
+            )
+            for (cond_name, _), ev in zip(conditions, evals):
                 values.setdefault((variant, cond_name, "ccc"), []).append(ev.ccc)
                 values.setdefault((variant, cond_name, "rmse"), []).append(ev.rmse)
             if log is not None:

@@ -126,6 +126,15 @@ class TestSynth:
         assert rc == 2
         assert "n_stepss" in capsys.readouterr().err
 
+    def test_non_finite_number_exits_2_and_writes_nothing(self, workspace, capsys):
+        bad = workspace / "nan.cfg"
+        bad.write_text(SYNTH_CFG + "synth.snr.video = nan\n")
+        out = workspace / "d_nan"
+        rc = main(["synth", "--config", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert "synth.snr.video" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, run_dir):

@@ -1,17 +1,17 @@
-"""Tests for the flat key=value config format and the config builders."""
+"""Tests for the flat key=value config format and the config reader."""
 
 import pytest
 
 from emoreg.configio import (
-    build_model_config,
-    build_synth_config,
-    build_train_config,
-    check_all_consumed,
     load_config_file,
     parse_flat_config,
     parse_int_list,
+    read_config,
 )
+from emoreg.data import SynthConfig
 from emoreg.errors import ConfigError
+from emoreg.model import ModelConfig
+from emoreg.train import ExperimentConfig, TrainConfig
 
 
 class TestParseFlatConfig:
@@ -59,23 +59,19 @@ class TestParseFlatConfig:
 
 class TestModelBuilder:
     def test_defaults_when_empty(self):
-        consumed = set()
-        cfg = build_model_config({}, consumed)
+        (cfg,) = read_config({}, ModelConfig)
         assert cfg.d_model == 64 and cfg.modalities == ("audio", "video", "text")
-        assert consumed == set()
 
     def test_scalars_applied(self):
         raw = {"model.d_model": "16", "model.dropout": "0.1", "model.enc_layers": "1"}
-        consumed = set()
-        cfg = build_model_config(raw, consumed)
+        (cfg,) = read_config(raw, ModelConfig)  # every key claimed
         assert cfg.d_model == 16
         assert cfg.dropout == pytest.approx(0.1)
         assert cfg.enc_layers == 1
-        assert consumed == set(raw)
 
     def test_width_merges_onto_default_modalities(self):
         raw = {"model.width.audio": "12"}
-        cfg = build_model_config(raw, set())
+        (cfg,) = read_config(raw, ModelConfig)
         assert cfg.modality_widths["audio"] == 12
         assert cfg.modality_widths["video"] == 30  # default untouched
 
@@ -85,24 +81,22 @@ class TestModelBuilder:
             "model.width.eeg": "7",
             "model.width.gaze": "3",
         }
-        cfg = build_model_config(raw, set())
+        (cfg,) = read_config(raw, ModelConfig)
         assert cfg.modalities == ("eeg", "gaze")
         assert cfg.modality_widths == {"eeg": 7, "gaze": 3}
 
     def test_modalities_override_without_widths_rejected(self):
         with pytest.raises(ConfigError, match="no feature width"):
-            build_model_config({"model.modalities": "eeg"}, set())
+            read_config({"model.modalities": "eeg"}, ModelConfig)
 
     def test_bad_int_names_key(self):
         with pytest.raises(ConfigError, match="model.d_model.*integer"):
-            build_model_config({"model.d_model": "sixteen"}, set())
+            read_config({"model.d_model": "sixteen"}, ModelConfig)
 
     def test_unknown_model_key_left_unconsumed(self):
         raw = {"model.d_modell": "16"}
-        consumed = set()
-        build_model_config(raw, consumed)
         with pytest.raises(ConfigError, match="unknown config keys.*model.d_modell"):
-            check_all_consumed(raw, consumed)
+            read_config(raw, ModelConfig)
 
 
 class TestTrainBuilder:
@@ -113,24 +107,20 @@ class TestTrainBuilder:
             "eliminate.audio": "0.25",
             "eliminate.video": "0.1",
         }
-        consumed = set()
-        cfg = build_train_config(raw, consumed)
+        (cfg,) = read_config(raw, TrainConfig)  # every key claimed
         assert cfg.epochs == 3
         assert cfg.learning_rate == pytest.approx(1e-3)
         assert cfg.elimination == {"audio": 0.25, "video": 0.1}
-        assert consumed == set(raw)
 
     def test_defaults_materialize(self):
-        cfg = build_train_config({}, set())
+        (cfg,) = read_config({}, TrainConfig)
         assert cfg.beta2 == pytest.approx(0.999)
         assert cfg.elimination == {}
 
     def test_typo_is_rejected_by_consumption_check(self):
         raw = {"train.learning_rte": "0.001"}
-        consumed = set()
-        build_train_config(raw, consumed)
         with pytest.raises(ConfigError, match="learning_rte"):
-            check_all_consumed(raw, consumed)
+            read_config(raw, TrainConfig)
 
 
 class TestSynthBuilder:
@@ -140,7 +130,7 @@ class TestSynthBuilder:
             "synth.snr.video": "2.5",
             "synth.width.text": "3",
         }
-        cfg = build_synth_config(raw, set())
+        (cfg,) = read_config(raw, SynthConfig)
         assert cfg.n_train == 4
         assert cfg.snr["video"] == pytest.approx(2.5)
         assert cfg.snr["audio"] == pytest.approx(25.0)  # default kept
@@ -155,7 +145,7 @@ class TestSynthBuilder:
             "synth.snr.a": "10",
             "synth.snr.b": "0.5",
         }
-        cfg = build_synth_config(raw, set())
+        (cfg,) = read_config(raw, SynthConfig)
         assert cfg.modalities == ("a", "b")
         assert set(cfg.widths) == {"a", "b"}
         assert set(cfg.snr) == {"a", "b"}
@@ -163,7 +153,7 @@ class TestSynthBuilder:
     def test_override_missing_snr_rejected(self):
         raw = {"synth.modalities": "a", "synth.width.a": "4"}
         with pytest.raises(ConfigError, match="no snr"):
-            build_synth_config(raw, set())
+            read_config(raw, SynthConfig)
 
 
 class TestConsumption:
@@ -174,13 +164,39 @@ class TestConsumption:
             "eliminate.video": "0.2",
             "synth.n_steps": "50",
         }
-        consumed = set()
-        build_model_config(raw, consumed)
-        build_train_config(raw, consumed)
-        build_synth_config(raw, consumed)
-        check_all_consumed(raw, consumed)  # no leftovers
+        read_config(raw, ModelConfig, TrainConfig, SynthConfig)  # no leftovers
 
     def test_unknown_section_listed_sorted(self):
         raw = {"zzz.x": "1", "aaa.y": "2"}
         with pytest.raises(ConfigError, match=r"aaa\.y, zzz\.x"):
-            check_all_consumed(raw, set())
+            read_config(raw)
+
+
+class TestExperimentSection:
+    def test_defaults(self):
+        (cfg,) = read_config({}, ExperimentConfig)
+        assert cfg.seeds == list(range(10))
+        assert cfg.alpha == pytest.approx(0.05)
+
+    def test_seeds_and_alpha(self):
+        raw = {"experiment.seeds": "3,1,4", "experiment.alpha": "0.1"}
+        (cfg,) = read_config(raw, ExperimentConfig)
+        assert cfg.seeds == [3, 1, 4]
+        assert cfg.alpha == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [
+        (SynthConfig, "synth.snr.video", "nan"),
+        (SynthConfig, "synth.freq_hi", "inf"),
+        (TrainConfig, "train.learning_rate", "nan"),
+        (TrainConfig, "train.adam_eps", "inf"),
+        (TrainConfig, "eliminate.audio", "-inf"),
+        (ModelConfig, "model.dropout", "1e400"),
+        (ExperimentConfig, "experiment.alpha", "NaN"),
+    ],
+)
+def test_non_finite_number_names_key_and_value(cls, key, value):
+    with pytest.raises(ConfigError, match=rf"{key}: expected a finite number, got '{value}'"):
+        read_config({key: value}, cls)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoreg.configio import parse_flat_config
-from emoreg.data import MultimodalSample, load_sample, write_dataset
+from emoreg.configio import parse_flat_config, read_config
+from emoreg.data import MultimodalSample, SynthConfig, load_sample, write_dataset
 from emoreg.errors import ConfigError, DataLoadError, EmoregError
 from emoreg.model import EmotionRegressor, ModelConfig, load_checkpoint, save_checkpoint
 from emoreg.tensor import Rng
+from emoreg.train import ExperimentConfig, TrainConfig
 
 # Derandomized (a fixed seed per test), no example database, no deadline.
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -30,6 +31,37 @@ def test_parse_flat_config_returns_dict_or_config_error(text):
         return
     assert isinstance(raw, dict)
     assert all(isinstance(k, str) and k and isinstance(v, str) for k, v in raw.items())
+
+
+CONFIG_KEYS = st.sampled_from(
+    ["model.d_model", "model.dropout", "model.modalities", "model.width.audio",
+     "train.learning_rate", "train.adam_eps", "train.seed", "eliminate.audio",
+     "synth.snr.video", "synth.freq_hi", "synth.width.text", "synth.modalities",
+     "experiment.alpha", "experiment.seeds", "model.d_modell", "zzz.x"]
+)
+CONFIG_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "-1", "", "a,b", "0.5", "3", "1e-300"]
+)
+
+
+def _floats(value):
+    """Every float a config holds, per-name table values included."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _floats(v)]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@PROPERTY
+@given(st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, max_size=5))
+def test_read_config_returns_finite_configs_or_config_error(raw):
+    try:
+        configs = read_config(raw, ModelConfig, TrainConfig, SynthConfig, ExperimentConfig)
+    except ConfigError:
+        return
+    for cfg in configs:
+        assert all(np.isfinite(x) for x in _floats(cfg.to_dict())), cfg
 
 
 @pytest.fixture(scope="module")
