@@ -250,7 +250,9 @@ def cmd_experiment(args) -> int:
     model_cfg, train_cfg, exp_cfg = read_config(
         _load_raw_config(args.config), ModelConfig, TrainConfig, ExperimentConfig
     )
-    seeds = exp_cfg.seeds if args.seeds is None else parse_int_list("--seeds", args.seeds)
+    if args.seeds is not None:
+        exp_cfg = replace(exp_cfg, seeds=parse_int_list("--seeds", args.seeds))
+    seeds = exp_cfg.seeds
     elimination = dict(train_cfg.elimination)
     if not elimination:
         raise ConfigError(

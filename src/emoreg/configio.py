@@ -17,6 +17,9 @@ ints).  A per-name table holds exactly the given keys when the section sets
 ``modalities``, and otherwise lays them over the class defaults.  Keys that no
 class recognizes are an error, as are duplicates: silently ignoring a typo
 like ``train.learning_rte`` would change an experiment without anyone noticing.
+For the same reason a per-name key must name one of its section's modalities;
+``eliminate.<modality>`` is checked against ``model.modalities`` whenever
+``ModelConfig`` is read in the same call.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def parse_int_list(key: str, value: str) -> list:
 _PARSERS = {"int": _as_int, "float": _as_float, "tuple": _as_name_list, "list": parse_int_list}
 
 # Per class: its section prefix and its per-name tables (key prefix ->
-# (dict field, value parser)).
+# (dict field, value parser)).  A table's names come from the ``modalities``
+# of ``_NAMES_FROM[class]``.
 _SECTIONS = {
     ModelConfig: ("model.", {"model.width.": ("modality_widths", _as_int)}),
     TrainConfig: ("train.", {"eliminate.": ("elimination", _as_float)}),
@@ -98,12 +102,15 @@ _SECTIONS = {
                              "synth.snr.": ("snr", _as_float)}),
     ExperimentConfig: ("experiment.", {}),
 }
+_NAMES_FROM = {ModelConfig: ModelConfig, TrainConfig: ModelConfig, SynthConfig: SynthConfig}
 
 
 def read_config(raw: dict, *classes) -> tuple:
     """One config per class, read from a raw flat mapping; any key that none
-    of the classes claims is rejected."""
+    of the classes claims, or a per-name key that names no modality, is
+    rejected."""
     claimed = set()
+    named = []  # (key, name, class) of every per-name key
     configs = []
     for cls in classes:
         section, tables = _SECTIONS[cls]
@@ -115,6 +122,7 @@ def read_config(raw: dict, *classes) -> tuple:
             if prefix is not None:
                 name, parse = tables[prefix]
                 given[name][key[len(prefix):]] = parse(key, value)
+                named.append((key, key[len(prefix):], cls))
             elif key.startswith(section) and key[len(section):] in scalars:
                 name = key[len(section):]
                 kwargs[name] = scalars[name](key, value)
@@ -128,4 +136,10 @@ def read_config(raw: dict, *classes) -> tuple:
     unknown = sorted(set(raw) - claimed)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    built = dict(zip(classes, configs))
+    for key, name, cls in named:
+        owner = built.get(_NAMES_FROM[cls])
+        if owner is not None and name not in owner.modalities:
+            raise ConfigError(f"{key}: {name!r} is not one of the modalities "
+                              f"{', '.join(owner.modalities)}")
     return tuple(configs)

@@ -222,15 +222,39 @@ def write_dataset(root, split: str, samples):
 
 def _read_csv(path) -> tuple:
     """Read a numeric UTF-8 CSV; returns (header, data array) or (header, None)
-    if the file holds no data rows.  NaN and infinite values are rejected."""
+    if the file holds no data rows.  NaN and infinite values are rejected.
+
+    The rows convert in one ``np.array`` call, which parses each field by
+    Python's ``float`` rules; only a file that fails there is walked row by
+    row, to name the line of its first bad row."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-        reader = csv.reader(io.StringIO(blob.decode("utf-8"), newline=""))
-        header = next(reader, None)
-        if header is None:
-            return [], None
-        rows = []
+        text = blob.decode("utf-8")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+        if not rows:
+            return header, None
+        table = np.array(rows, dtype=np.float64)
+        if table.shape[1] == len(header) and np.isfinite(table).all():
+            return header, table
+    except OSError as exc:
+        raise DataLoadError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise DataLoadError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    except (csv.Error, ValueError):  # named by the walk below
+        pass
+    _raise_first_bad_row(path, text)
+
+
+def _raise_first_bad_row(path, text: str):
+    """Walk a CSV text that failed batch conversion row by row; raise a
+    ``DataLoadError`` naming the file and line of its first bad row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
         for row in reader:
             if not row:
                 continue
@@ -245,17 +269,9 @@ def _read_csv(path) -> tuple:
                 raise DataLoadError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, values)):
                 raise DataLoadError(f"{path}:{lineno}: non-finite value in {row}")
-            rows.append(values)
-    except OSError as exc:
-        raise DataLoadError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        line = blob.count(b"\n", 0, exc.start) + 1
-        raise DataLoadError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise DataLoadError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
-        return header, None
-    return header, np.asarray(rows, dtype=np.float64)
+    raise ContractError(f"{path}: batch conversion failed on rows that each parse")
 
 
 def _check_timestamps(path, ts: np.ndarray):

@@ -1,14 +1,16 @@
 """Neural building blocks: attention, convolution stacks, transformer layers.
 
 All layer forwards take and return batched token-major 3-D tensors
-[batch, steps, width]; attention heads are split only inside the fused
-``tensor.attention`` / ``tensor.local_attention`` nodes, and every residual
-exit is one ``tensor.add_norm`` node.  A forward draws dropout exactly when
-it is passed an ``Rng`` (and its rate is above 0); without one it is
-deterministic.  ``DecoderLayer`` has no forward of its own: it holds the
-weights that the ``tensor.decoder`` node runs.  Modules expose their
-parameters through ``parameters(prefix)``, which yields a flat name -> Tensor
-mapping used by the optimizer, checkpointing, and gradient checking.
+[batch, steps, width] as fused nodes: attention heads are split inside the
+``tensor.attention`` / ``tensor.local_attention`` nodes, a conv layer is one
+``tensor.causal_conv_block``, a feed-forward block or the head one
+``tensor.feed_forward``, and a residual exit one ``tensor.add_norm``.  A
+forward draws dropout exactly when it is passed an ``Rng`` (and its rate is
+above 0); without one it is deterministic.  ``DecoderLayer`` has no forward
+of its own: it holds the weights that the ``tensor.decoder`` node runs.
+Modules expose their parameters through ``parameters(prefix)``, which yields
+a flat name -> Tensor mapping used by the optimizer, checkpointing, and
+gradient checking.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class CausalConvStack:
     """Stack of dilated causal convolutions with residual connections.
 
     Layer i uses dilation 2**i, so n layers with kernel size k give a
-    receptive field of 1 + (k-1)(2**n - 1) past steps.  Each layer applies
-    conv -> ReLU -> dropout, then adds the layer input back (through a 1x1
-    projection when the widths differ, i.e. at the first layer).
+    receptive field of 1 + (k-1)(2**n - 1) past steps.  Each layer is one
+    ``tz.causal_conv_block``: conv -> ReLU -> dropout plus the layer input
+    (through a 1x1 projection when the widths differ, i.e. at the first).
     """
 
     def __init__(self, d_in: int, d_model: int, n_layers: int, kernel_size: int, rng: Rng,
@@ -92,16 +94,9 @@ class CausalConvStack:
         return 1 + (k - 1) * (2 ** len(self.kernels) - 1)
 
     def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
-        h = x
-        for i, (kernel, bias, dilation) in enumerate(
-            zip(self.kernels, self.biases, self.dilations)
-        ):
-            y = tz.relu(tz.dilated_causal_conv1d(h, kernel, bias, dilation))
-            y = tz.dropout(y, self.dropout_rate, rng)
-            if i == 0 and self.res_proj is not None:
-                h = self.res_proj(h) + y
-            else:
-                h = h + y
+        h, skip = x, (x if self.res_proj is None else self.res_proj(x))
+        for kernel, bias, dilation in zip(self.kernels, self.biases, self.dilations):
+            h = skip = tz.causal_conv_block(h, skip, kernel, bias, dilation, self.dropout_rate, rng)
         return h
 
     def parameters(self, prefix: str) -> dict:
@@ -205,7 +200,7 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    """Position-wise two-layer network: linear -> ReLU -> dropout -> linear."""
+    """Position-wise linear -> ReLU -> dropout -> linear: one ``tz.feed_forward``."""
 
     def __init__(self, d_model: int, d_hidden: int, rng: Rng, dropout: float = 0.0):
         self.w1 = Linear(d_model, d_hidden, rng)
@@ -213,8 +208,8 @@ class FeedForward:
         self.dropout_rate = dropout
 
     def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
-        h = tz.dropout(tz.relu(self.w1(x)), self.dropout_rate, rng)
-        return self.w2(h)
+        return tz.feed_forward(x, self.w1.w, self.w1.b, self.w2.w, self.w2.b,
+                               self.dropout_rate, rng)
 
     def parameters(self, prefix: str) -> dict:
         out = self.w1.parameters(f"{prefix}.w1")
@@ -283,14 +278,14 @@ class DecoderLayer:
 
 
 class RegressionHead:
-    """Small per-step head mapping decoder features to one scalar."""
+    """Per-step head to one scalar: a ``tz.feed_forward`` without dropout."""
 
     def __init__(self, d_model: int, d_hidden: int, rng: Rng):
         self.w1 = Linear(d_model, d_hidden, rng)
         self.w2 = Linear(d_hidden, 1, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.w2(tz.relu(self.w1(x)))
+        return tz.feed_forward(x, self.w1.w, self.w1.b, self.w2.w, self.w2.b, 0.0, None)
 
     def parameters(self, prefix: str) -> dict:
         out = self.w1.parameters(f"{prefix}.w1")

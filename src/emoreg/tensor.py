@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A lightweight tape records differentiable operations while a ``Tape`` context
-is active; ``Tape.backward`` replays it in reverse to populate ``.grad`` on
-every leaf that requires gradients, releasing each intermediate gradient as
-soon as its op has consumed it.  Outside a tape, all operations are plain
-numpy computations with no recording overhead, which is what evaluation-mode
-forward passes use.
+A ``Tape`` context records differentiable operations; ``Tape.backward``
+replays it in reverse to populate ``.grad`` on every leaf that requires
+gradients, releasing each intermediate gradient once its op has consumed it.
+Outside a tape, operations are plain numpy with no recording overhead, which
+is what evaluation forward passes use.  Training memory is what the tape
+holds, so the model's layers run as fused nodes (``attention``, ``add_norm``,
+``causal_conv_block``, ``feed_forward``, ``decoder``) that save only what
+their hand-written backward reads.
 
 Everything is float64: gradient checks against central finite differences at
 step 1e-5 only make sense at that precision.
@@ -366,31 +368,29 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def _dropout_on(rate: float, rng: Rng | None) -> bool:
-    """Validate a dropout rate; True when a mask must be drawn, which is
-    exactly when an ``Rng`` is given and the rate is above 0."""
+def _keep_mask(shape, rate: float, rng: Rng | None):
+    """Validate ``rate``; return the boolean keep mask of inverted dropout, or
+    None unless an ``Rng`` is given and the rate is above 0."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    return rng is not None and rate > 0.0
+    return rng.random(shape) >= rate if rng is not None and rate > 0.0 else None
 
 
-def dropout(a: Tensor, rate: float, rng: Rng | None) -> Tensor:
-    """Inverted dropout: with an ``Rng``, zero entries at ``rate`` and rescale
-    the rest by 1/(1-rate); without one, return ``a`` itself."""
-    if not _dropout_on(rate, rng):
-        return a
-    keep = rng.random(a.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    tape = _recording(a)
-    out = _result(a.data * keep * scale, tape)
-    if tape is not None:
-        tape.record(out, lambda g: _add_grad(a, g * keep * scale), "dropout")
-    return out
+def _relu_dropout(y, rate: float, rng: Rng | None) -> float:
+    """ReLU, then inverted dropout at ``rate``, in place on ``y``; returns the
+    scale of the kept entries (1.0 when dropout is off).  Afterwards ``y > 0``
+    is exactly the relu-positive-and-kept mask, because the scale is >= 1."""
+    np.maximum(y, 0.0, out=y)
+    keep = _keep_mask(y.shape, rate, rng)
+    if keep is not None:
+        y *= keep
+        y *= 1.0 / (1.0 - rate)
+    return 1.0 if keep is None else 1.0 / (1.0 - rate)
 
 
 def _add_norm_forward(x, y, gain, bias, rate: float, rng: Rng | None) -> tuple:
     """Array forward of ``add_norm``: (output, state for ``_add_norm_backward``)."""
-    keep = rng.random(y.shape) >= rate if _dropout_on(rate, rng) else None
+    keep = _keep_mask(y.shape, rate, rng)
     scale = 1.0 / (1.0 - rate)
     s = x + (y if keep is None else y * keep * scale)
     d = s.shape[-1]
@@ -492,6 +492,40 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+def _ffn_forward(x, f1, f2, rate: float, rng: Rng | None) -> tuple:
+    """Array forward of ``feed_forward`` with (weight, bias) pairs ``f1`` and
+    ``f2``: (output, post-dropout hidden, dropout scale)."""
+    r = _linear_forward(x, f1[0].data, f1[1].data)
+    scale = _relu_dropout(r, rate, rng)
+    return _linear_forward(r, f2[0].data, f2[1].data), r, scale
+
+
+def _ffn_backward(g, x, r, scale: float, f1, f2):
+    """Accumulate the weight gradients of one ``feed_forward``; return the
+    gradient of ``x``."""
+    gr = _linear_backward(g, r, *f2)
+    gr *= r > 0.0
+    gr *= scale
+    return _linear_backward(gr, x, *f1)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
+                 rng: Rng | None) -> Tensor:
+    """Position-wise ``linear -> relu -> dropout -> linear`` as one node, with
+    dropout drawn exactly when ``rng`` is given.  Under a tape the node saves
+    only the post-dropout hidden activations."""
+    if x.data.shape[-1] != w1.data.shape[0] or w1.data.shape[1] != w2.data.shape[0]:
+        raise ShapeError(f"feed-forward widths disagree: {x.shape}, {w1.shape}, {w2.shape}")
+    f1, f2 = (w1, b1), (w2, b2)
+    y, r, scale = _ffn_forward(x.data, f1, f2, rate, rng)
+    tape = _recording(x, w1, b1, w2, b2)
+    out = _result(y, tape)
+    if tape is not None:
+        tape.record(out, lambda g: _add_grad(x, _ffn_backward(g, x.data, r, scale, f1, f2)),
+                    "feed_forward")
+    return out
+
+
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """View token-major [batch, tokens, width] as [batch, heads, tokens, width / heads]."""
     b, n, d = x.shape
@@ -514,7 +548,7 @@ def _block_forward(qd, k, v, mask, rate: float, rng: Rng | None, out) -> tuple:
     p -= m
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    keep = None if rng is None else rng.random(p.shape) >= rate
+    keep = _keep_mask(p.shape, rate, rng)
     np.matmul(p if keep is None else p * keep * (1.0 / (1.0 - rate)), v, out=out)
     return p, keep
 
@@ -542,10 +576,10 @@ def _block_backward(g, qd, k, v, p, keep, rate: float) -> tuple:
 def _attention_forward(q, k, v, n_heads: int, rate: float, rng: Rng | None, blocks,
                        save: bool) -> tuple:
     """Array forward of the attention node over ``blocks``, (query slice, key
-    slice, additive mask or None) triples over tokens; ``rng`` is None unless
-    dropout is on.  Returns (output [batch, queries, width], weights of the
-    last block, state); the state keeps each block's weights and keep mask
-    for ``_attention_backward`` only when ``save``."""
+    slice, additive mask or None) triples over tokens.  Returns (output
+    [batch, queries, width], weights of the last block, state); the state
+    keeps each block's weights and keep mask for ``_attention_backward`` only
+    when ``save``."""
     scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     qd = _heads(q, n_heads) * scale  # cheaper than scaling every score block
     kh, vh = _heads(k, n_heads), _heads(v, n_heads)
@@ -594,7 +628,6 @@ def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
     """The node behind ``attention`` and ``local_attention``: runs the block
     forward over ``blocks`` and records one backward for all of them.
     Returns (output, weights of the last block)."""
-    drop = _dropout_on(rate, rng)
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
     if (
         len(qs) != 3 or len(ks) != 3 or len(vs) != 3 or qs[0] != ks[0] or ks[:2] != vs[:2]
@@ -605,9 +638,8 @@ def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
             f"split into {n_heads} heads, got {qs}, {ks}, {vs}"
         )
     tape = _recording(q, k, v)
-    y, p, state = _attention_forward(
-        q.data, k.data, v.data, n_heads, rate, rng if drop else None, blocks, tape is not None
-    )
+    y, p, state = _attention_forward(q.data, k.data, v.data, n_heads, rate, rng, blocks,
+                                     tape is not None)
     out = _result(y, tape)
     if tape is not None:
 
@@ -695,35 +727,40 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, n_mod: int,
     return out
 
 
-def dilated_causal_conv1d(
-    x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1
-) -> Tensor:
-    """Causal 1-D convolution with left zero-padding; length is preserved.
+def causal_conv_block(x: Tensor, skip: Tensor, kernel: Tensor, bias: Tensor, dilation: int,
+                      rate: float, rng: Rng | None) -> Tensor:
+    """One residual conv layer as one node: ``skip + dropout(relu(conv(x)))``.
 
-    ``x`` is [T, c_in] or [B, T, c_in]; ``kernel`` is [k, c_in, c_out] with
-    tap j applying to the input ``j * dilation`` steps in the past, so the
-    output at t depends only on inputs at times <= t.
+    ``conv`` is a causal 1-D convolution plus ``bias``: ``x`` is [T, c_in] or
+    [B, T, c_in]; ``kernel`` is [k, c_in, c_out] with tap j applying to the
+    input ``j * dilation`` steps in the past, so the output at t depends only
+    on inputs at times <= t.  Dropout is drawn exactly when ``rng`` is given.
+    Under a tape the node saves one boolean mask: relu-positive and kept.
     """
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
     kk, c_in, c_out = kernel.data.shape
-    if x.data.shape[-1] != c_in:
-        raise ShapeError(
-            f"conv channel mismatch: input has {x.data.shape[-1]}, kernel expects {c_in}"
-        )
+    if x.data.shape[-1] != c_in or skip.data.shape != x.data.shape[:-1] + (c_out,):
+        raise ShapeError(f"conv block shapes disagree: input {x.data.shape}, skip "
+                         f"{skip.data.shape}, kernel {kernel.data.shape}")
     T = x.data.shape[-2]
-    y = np.zeros(x.data.shape[:-1] + (c_out,), dtype=np.float64)
+    y = np.zeros(skip.data.shape, dtype=np.float64)
     for j in range(kk):
         off = j * dilation
         if off >= T:
             break
         y[..., off:, :] += np.matmul(x.data[..., : T - off, :], kernel.data[j])
     y += bias.data
-    tape = _recording(x, kernel, bias)
-    out = _result(y, tape)
+    scale = _relu_dropout(y, rate, rng)
+    tape = _recording(x, skip, kernel, bias)
+    out = _result(skip.data + y, tape)
     if tape is not None:
+        mask = y > 0.0
 
         def bw(g):
+            _add_grad(skip, g)
+            gy = g * mask
+            gy *= scale
             if x.requires_grad and x.grad is None:
                 x.grad = np.zeros_like(x.data)
             gk = np.zeros_like(kernel.data) if kernel.requires_grad else None
@@ -731,19 +768,17 @@ def dilated_causal_conv1d(
                 off = j * dilation
                 if off >= T:
                     break
-                gpart = g[..., off:, :]
+                gpart = gy[..., off:, :]
                 if x.requires_grad:
                     x.grad[..., : T - off, :] += np.matmul(gpart, kernel.data[j].T)
                 if gk is not None:
                     xs = x.data[..., : T - off, :]
-                    gk[j] = np.matmul(
-                        xs.reshape(-1, c_in).T, gpart.reshape(-1, c_out)
-                    )
+                    gk[j] = np.matmul(xs.reshape(-1, c_in).T, gpart.reshape(-1, c_out))
             if gk is not None:
                 _add_grad(kernel, gk)
-            _add_grad(bias, g.reshape(-1, c_out).sum(axis=0))
+            _add_grad(bias, gy.reshape(-1, c_out).sum(axis=0))
 
-        tape.record(out, bw, "dilated_causal_conv1d")
+        tape.record(out, bw, "causal_conv_block")
     return out
 
 
@@ -811,9 +846,9 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
     At each step each layer runs self-attention over its own inputs so far,
     ``add_norm``, cross-attention over the step's n_mod tokens, ``add_norm``,
     the FFN (linear, relu, dropout, linear) and ``add_norm``, on the array
-    kernels of ``linear``, ``attention`` and ``add_norm``.  Self-attention
-    keys and values are projected once per step into [batch, steps, width]
-    buffers.  Dropout at ``rate`` is drawn exactly when ``rng`` is given.
+    kernels of ``linear``, ``attention``, ``feed_forward`` and ``add_norm``.
+    Self-attention keys and values are projected once per step into [batch,
+    steps, width] buffers.  Dropout is drawn exactly when ``rng`` is given.
 
     Returns (outputs [batch, steps, width], importance [batch, n_mod]); a
     row's importance is the mean cross-attention weight each of the n_mod
@@ -836,15 +871,13 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
         )
     if positions.data.shape[0] < n_steps:
         raise ShapeError(f"{n_steps} steps exceed the {positions.data.shape[0]} positions")
-    drop = rng if _dropout_on(rate, rng) else None
-    scale = 1.0 / (1.0 - rate)
     whole = [(slice(None), slice(None), None)]
 
     def lin(x, wb):
         return _linear_forward(x, wb[0].data, wb[1].data)
 
     def norm(x, y, gb):
-        return _add_norm_forward(x, y, gb[0].data, gb[1].data, rate, drop)
+        return _add_norm_forward(x, y, gb[0].data, gb[1].data, rate, rng)
 
     weights = [t for layer in layers for pair in layer for t in pair]
     tape = _recording(x0, positions, *(t for kv in cross for t in kv), *weights)
@@ -862,25 +895,20 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
             kh[:, t] = lin(h, sk)[:, 0]
             vh[:, t] = lin(h, sv)[:, 0]
             a, _, att_self = _attention_forward(
-                lin(h, sq), kh[:, : t + 1], vh[:, : t + 1], n_heads, rate, drop, whole,
+                lin(h, sq), kh[:, : t + 1], vh[:, : t + 1], n_heads, rate, rng, whole,
                 tape is not None,
             )
             h1, norm1 = norm(h, lin(a, so), n1)
             c, probs, att_cross = _attention_forward(
-                lin(h1, cq), kc.data[:, now], vc.data[:, now], n_heads, rate, drop, whole,
+                lin(h1, cq), kc.data[:, now], vc.data[:, now], n_heads, rate, rng, whole,
                 tape is not None,
             )
             importance += probs.mean(axis=(1, 2))
             h2, norm2 = norm(h1, lin(c, co), n2)
-            z = lin(h2, f1)
-            r = np.maximum(z, 0.0)
-            keep = None if drop is None else drop.random(r.shape) >= rate
-            if keep is not None:
-                r = r * keep * scale
-            y, norm3 = norm(h2, lin(r, f2), n3)
+            ff, r, scale = _ffn_forward(h2, f1, f2, rate, rng)
+            y, norm3 = norm(h2, ff, n3)
             if tape is not None:
-                saved.append((h, att_self, a, norm1, h1, att_cross, c, norm2, h2, z, keep, r,
-                              norm3))
+                saved.append((h, att_self, a, norm1, h1, att_cross, c, norm2, h2, r, scale, norm3))
             h = y
         outputs[:, t] = h[:, 0]
         if t + 1 < n_steps:
@@ -903,16 +931,13 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
                 for l, (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3) in reversed(
                     list(enumerate(layers))
                 ):
-                    h, att_self, a, norm1, h1, att_cross, c, norm2, h2, z, keep, r, norm3 = (
+                    h, att_self, a, norm1, h1, att_cross, c, norm2, h2, r, scale, norm3 = (
                         next(states)
                     )
                     gk, gv = ghist[l]
                     gkc, gvc = gcross[l]
                     gh2, gf = _add_norm_backward(gh, norm3, *n3)
-                    gr = _linear_backward(gf, r, *f2)
-                    if keep is not None:
-                        gr = gr * keep * scale
-                    gh2 = gh2 + _linear_backward(gr * (z > 0.0), h2, *f1)
+                    gh2 = gh2 + _ffn_backward(gf, h2, r, scale, f1, f2)
                     gh1, gc = _add_norm_backward(gh2, norm2, *n2)
                     gq = _attention_backward(
                         _linear_backward(gc, c, *co), att_cross, n_heads, rate,

@@ -77,6 +77,14 @@ class ExperimentConfig(DictConfig):
     seeds: list = field(default_factory=lambda: list(range(10)))
     alpha: float = 0.05
 
+    def __post_init__(self):
+        self.seeds = list(self.seeds)
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds repeat {repeated}: a repeated seed is not an independent run")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+
 
 class AdamOptimizer:
     """Adam with bias correction, operating on a name -> Tensor mapping."""
@@ -492,9 +500,7 @@ def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dic
     * degradation: two-sided, within each variant, does removing a modality
       shift CCC relative to the all-modalities condition.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    seeds = list(seeds)
+    seeds = ExperimentConfig(seeds, alpha).seeds
     if len(seeds) < 2:
         raise InsufficientDataError("experiments need at least two seeds")
     mods = model_cfg.modalities

@@ -121,15 +121,8 @@ def _primitive_cases():
     a = _away_from_zero(rng, (3, 5))
     cases.append(("relu", {"a": a}, lambda a=a: _sq(tz.relu(a))))
 
-    _param(rng, (3, 5))  # a spent draw: later cases keep their inputs
-
-    a = _param(rng, (4, 6))
-
-    def f_dropout(a=a):
-        # fresh child stream per call -> identical mask on every evaluation
-        return _sq(tz.dropout(a, 0.35, Rng(55)))
-
-    cases.append(("dropout", {"a": a}, f_dropout))
+    _param(rng, (3, 5))  # spent draws: later cases keep their inputs
+    _param(rng, (4, 6))
 
     for rate in (0.0, 0.35):
         x, y = _param(rng, (2, 5, 6)), _param(rng, (2, 5, 6))
@@ -172,13 +165,8 @@ def _primitive_cases():
     cases.append(("linear", {"x": x, "w": w, "b": bb},
                   lambda x=x, w=w, b=bb: _sq(tz.linear(x, w, b))))
 
-    x = _param(rng, (2, 7, 3))
-    kern = _param(rng, (3, 3, 4))
-    cb = _param(rng, (4,))
-    cases.append(
-        ("dilated_causal_conv1d", {"x": x, "kernel": kern, "bias": cb},
-         lambda x=x, k=kern, b=cb: _sq(tz.dilated_causal_conv1d(x, k, b, 2)))
-    )
+    for shape in ((2, 7, 3), (3, 3, 4), (4,)):
+        _param(rng, shape)  # spent draws: later cases keep their inputs
 
     a = _param(rng, (2, 6))
     cases.append(("reshape", {"a": a},
@@ -240,6 +228,28 @@ def _primitive_cases():
 
         cases.append((f"decoder[layers={n_layers},heads={n_heads},dropout={rate}]",
                       params, f_decoder))
+
+    # The fused conv block (dilation 2 over a separate skip input) and the
+    # fused feed-forward node, each without and with dropout.
+    for rate in (0.0, 0.3):
+        conv = {"x": _param(rng, (2, 7, 3)), "skip": _param(rng, (2, 7, 4)),
+                "kernel": _param(rng, (3, 3, 4)), "bias": _param(rng, (4,))}
+
+        def f_conv(p=conv, rate=rate):
+            # fresh Rng per call -> identical dropout on every evaluation
+            return _sq(tz.causal_conv_block(p["x"], p["skip"], p["kernel"], p["bias"], 2,
+                                            rate, Rng(60)))
+
+        cases.append((f"causal_conv_block[dropout={rate}]", conv, f_conv))
+        ffn = {"x": _param(rng, (2, 5, 4)), "w1": _param(rng, (4, 6)), "b1": _param(rng, (6,)),
+               "w2": _param(rng, (6, 3)), "b2": _param(rng, (3,))}
+
+        def f_ffn(p=ffn, rate=rate):
+            # fresh Rng per call -> identical dropout on every evaluation
+            return _sq(tz.feed_forward(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], rate,
+                                       Rng(61)))
+
+        cases.append((f"feed_forward[dropout={rate}]", ffn, f_ffn))
     return cases
 
 

@@ -387,6 +387,17 @@ class TestExperimentCommand:
         assert main(args) == 0
         assert json.loads((out / "report.json").read_text())["alpha"] == pytest.approx(0.1)
 
+    def test_repeated_seeds_exit_2_before_any_output(self, dataset, workspace, capsys):
+        cfg = workspace / "seeds.cfg"
+        cfg.write_text(TRAIN_CFG.replace("train.epochs = 4", "train.epochs = 1")
+                       + "eliminate.audio = 0.3\n")
+        out = workspace / "exp_seeds"
+        rc = main(["experiment", "--data", str(dataset), "--out", str(out),
+                   "--config", str(cfg), "--seeds", "3,3,4", "--quiet"])
+        assert rc == 2
+        assert not out.exists()
+        assert "seeds repeat [3]" in capsys.readouterr().err
+
     def test_requires_elimination(self, dataset, workspace, capsys):
         cfg = workspace / "noelim.cfg"
         cfg.write_text("train.epochs = 1\n")

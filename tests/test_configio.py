@@ -93,6 +93,13 @@ class TestModelBuilder:
         with pytest.raises(ConfigError, match="model.d_model.*integer"):
             read_config({"model.d_model": "sixteen"}, ModelConfig)
 
+    def test_width_of_no_configured_modality_rejected(self):
+        with pytest.raises(ConfigError, match=r"^model\.width\.audoi: "):
+            read_config({"model.width.audoi": "12"}, ModelConfig)
+        raw = {"model.modalities": "eeg", "model.width.eeg": "7", "model.width.gaze": "3"}
+        with pytest.raises(ConfigError, match=r"^model\.width\.gaze: "):
+            read_config(raw, ModelConfig)
+
     def test_unknown_model_key_left_unconsumed(self):
         raw = {"model.d_modell": "16"}
         with pytest.raises(ConfigError, match="unknown config keys.*model.d_modell"):
@@ -116,6 +123,17 @@ class TestTrainBuilder:
         (cfg,) = read_config({}, TrainConfig)
         assert cfg.beta2 == pytest.approx(0.999)
         assert cfg.elimination == {}
+
+    def test_elimination_of_no_model_modality_rejected(self):
+        raw = {"eliminate.vidoe": "0.2"}
+        with pytest.raises(ConfigError, match=r"^eliminate\.vidoe: 'vidoe' is not one"):
+            read_config(raw, ModelConfig, TrainConfig)
+        with pytest.raises(ConfigError, match=r"^eliminate\.video: "):
+            read_config({"model.modalities": "audio", "model.width.audio": "4",
+                         "eliminate.video": "0.2"}, TrainConfig, ModelConfig)
+        # Without a model section in the same read there is nothing to check against.
+        (cfg,) = read_config(raw, TrainConfig)
+        assert cfg.elimination == {"vidoe": 0.2}
 
     def test_typo_is_rejected_by_consumption_check(self):
         raw = {"train.learning_rte": "0.001"}
@@ -150,6 +168,14 @@ class TestSynthBuilder:
         assert set(cfg.widths) == {"a", "b"}
         assert set(cfg.snr) == {"a", "b"}
 
+    def test_width_of_no_configured_modality_rejected(self):
+        with pytest.raises(ConfigError, match=r"^synth\.width\.audoi: "):
+            read_config({"synth.width.audoi": "4"}, SynthConfig)
+
+    def test_snr_of_no_configured_modality_rejected(self):
+        with pytest.raises(ConfigError, match=r"^synth\.snr\.vidoe: "):
+            read_config({"synth.snr.vidoe": "0.5"}, SynthConfig)
+
     def test_override_missing_snr_rejected(self):
         raw = {"synth.modalities": "a", "synth.width.a": "4"}
         with pytest.raises(ConfigError, match="no snr"):
@@ -183,6 +209,12 @@ class TestExperimentSection:
         (cfg,) = read_config(raw, ExperimentConfig)
         assert cfg.seeds == [3, 1, 4]
         assert cfg.alpha == pytest.approx(0.1)
+
+    def test_repeated_seeds_and_bad_alpha_rejected_at_read(self):
+        with pytest.raises(ConfigError, match=r"seeds repeat \[3\]"):
+            read_config({"experiment.seeds": "3,3,3,4"}, ExperimentConfig)
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            read_config({"experiment.alpha": "1.5"}, ExperimentConfig)
 
 
 @pytest.mark.parametrize(

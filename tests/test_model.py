@@ -21,6 +21,7 @@ from emoreg.model import (
     load_model_state,
     save_checkpoint,
 )
+from emoreg.objective import ccc_loss
 from emoreg.tensor import Rng, Tape, Tensor, finite_difference_check
 
 from oracles import decode_uncached
@@ -158,6 +159,29 @@ class TestForward:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 2.5 * peaks[0], peaks
+
+    def test_training_tape_saves_only_what_backward_reads(self):
+        # A paper-default training forward (default architecture, widths
+        # 8/8/6, B=2, T=120, dropout 0.2): one node per conv layer and per
+        # feed-forward block, each saving a mask or one hidden array.  A node
+        # per conv, relu, dropout and add would hold 142 nodes and 40 MB.
+        widths = {"audio": 8, "video": 8, "text": 6}
+        model = EmotionRegressor(ModelConfig(modality_widths=widths), Rng(0))
+        data = Rng(1)
+        feats = {m: data.normal(0.0, 1.0, (2, 120, w)) for m, w in widths.items()}
+        labels = np.tanh(data.normal(0.0, 1.0, (2, 120)).cumsum(axis=1) / 10.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                preds, _, _ = model.forward(feats, rng=Rng(2))
+                loss = ccc_loss(preds, labels)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        assert len(tape) <= 82
+        assert held <= 32 * 2**20, f"tape holds {held / 2**20:.1f} MB"
 
     def test_eval_forward_is_deterministic(self):
         feats = make_features(self.cfg, self.rng)

@@ -33,6 +33,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return weights[0, 0]
 
 
+def _identity_ffn(x: Tensor, rate: float, rng) -> Tensor:
+    """``tz.feed_forward`` with identity weights and zero biases: relu, then
+    dropout, of ``x``."""
+    eye, zero = Tensor(np.eye(x.shape[-1])), Tensor(np.zeros(x.shape[-1]))
+    return tz.feed_forward(x, eye, zero, eye, zero, rate, rng)
+
+
+def _conv(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
+    """``tz.causal_conv_block`` over a zero skip input and without dropout:
+    relu of the causal convolution."""
+    skip = Tensor(np.zeros(x.shape[:-1] + kernel.shape[-1:]))
+    return tz.causal_conv_block(x, skip, kernel, bias, dilation, 0.0, None)
+
+
 def check(f, params, tol=FD_TOL):
     report = finite_difference_check(f, params)
     assert report.max_rel_err < tol, str(report)
@@ -145,29 +159,34 @@ class TestForwardSemantics:
 
     def test_dropout_eval_mode_is_identity(self):
         x = Tensor(Rng(4).normal(0, 1, (5, 5)))
-        out = tz.dropout(x, 0.5, None)
-        assert out is x
+        out = _identity_ffn(x, 0.5, None)
+        np.testing.assert_array_equal(out.data, np.maximum(x.data, 0.0))
 
     def test_dropout_zero_rate_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        assert tz.dropout(x, 0.0, Rng(0)) is x
+        assert tz._keep_mask(x.shape, 0.0, Rng(0)) is None
+        np.testing.assert_array_equal(_identity_ffn(x, 0.0, Rng(0)).data, x.data)
 
     def test_dropout_preserves_expectation(self):
         x = Tensor(np.ones((200, 200)))
-        out = tz.dropout(x, 0.3, Rng(5))
+        out = _identity_ffn(x, 0.3, Rng(5))
         kept = out.data != 0.0
         assert abs(kept.mean() - 0.7) < 0.01
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.7)
 
     def test_dropout_bad_rate(self):
+        x = Tensor(np.ones((1, 3)))
         with pytest.raises(ConfigError):
-            tz.dropout(Tensor(np.ones(3)), 1.0, Rng(0))
+            _identity_ffn(x, 1.0, Rng(0))
+        with pytest.raises(ConfigError):
+            tz.causal_conv_block(x, x, Tensor(np.ones((1, 3, 3))), Tensor(np.zeros(3)), 1,
+                                 1.0, Rng(0))
 
     def test_an_rng_alone_turns_dropout_on(self):
         x = Tensor(np.ones((20, 20)))
-        assert tz.dropout(x, 0.3, None) is x
+        np.testing.assert_array_equal(_identity_ffn(x, 0.3, None).data, x.data)
         keep = (Rng(5).random((20, 20)) >= 0.3) / 0.7
-        np.testing.assert_array_equal(tz.dropout(x, 0.3, Rng(5)).data, keep)
+        np.testing.assert_array_equal(_identity_ffn(x, 0.3, Rng(5)).data, keep)
         q = Tensor(Rng(6).normal(0, 1, (1, 8, 4)))
         for attend in (
             lambda rate, rng: tz.attention(q, q, q, 2, rate, rng)[0],
@@ -183,8 +202,8 @@ class TestCausalConv:
         x = Tensor(Rng(6).normal(0, 1, (10, 3)))
         kernel = np.zeros((3, 3, 3))
         kernel[0] = np.eye(3)  # tap 0 touches the current step only
-        out = tz.dilated_causal_conv1d(x, Tensor(kernel), Tensor(np.zeros(3)))
-        np.testing.assert_allclose(out.data, x.data, atol=1e-15)
+        out = _conv(x, Tensor(kernel), Tensor(np.zeros(3)))
+        np.testing.assert_allclose(out.data, np.maximum(x.data, 0.0), atol=1e-15)
 
     def test_causality(self):
         # Perturbing the input at time t must not change outputs before t.
@@ -192,11 +211,11 @@ class TestCausalConv:
         x = rng.normal(0, 1, (12, 2))
         kernel = Tensor(rng.normal(0, 1, (4, 2, 2)))
         bias = Tensor(rng.normal(0, 1, (2,)))
-        base = tz.dilated_causal_conv1d(Tensor(x), kernel, bias, dilation=2).data
+        base = _conv(Tensor(x), kernel, bias, dilation=2).data
         for t in [0, 5, 11]:
             bumped = x.copy()
             bumped[t] += 10.0
-            got = tz.dilated_causal_conv1d(Tensor(bumped), kernel, bias, dilation=2).data
+            got = _conv(Tensor(bumped), kernel, bias, dilation=2).data
             assert np.array_equal(got[:t], base[:t])
             assert not np.array_equal(got[t:], base[t:])
 
@@ -206,9 +225,7 @@ class TestCausalConv:
         x[2, 0] = 1.0
         kernel = np.zeros((2, 1, 1))
         kernel[1, 0, 0] = 1.0  # pick out the delayed tap only
-        out = tz.dilated_causal_conv1d(
-            Tensor(x), Tensor(kernel), Tensor(np.zeros(1)), dilation=4
-        )
+        out = _conv(Tensor(x), Tensor(kernel), Tensor(np.zeros(1)), dilation=4)
         expected = np.zeros((10, 1))
         expected[6, 0] = 1.0
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
@@ -218,16 +235,17 @@ class TestCausalConv:
         xb = rng.normal(0, 1, (3, 9, 2))
         kernel = Tensor(rng.normal(0, 1, (3, 2, 4)))
         bias = Tensor(rng.normal(0, 1, (4,)))
-        together = tz.dilated_causal_conv1d(Tensor(xb), kernel, bias, dilation=2).data
+        together = _conv(Tensor(xb), kernel, bias, dilation=2).data
         for i in range(3):
-            one = tz.dilated_causal_conv1d(Tensor(xb[i]), kernel, bias, dilation=2).data
+            one = _conv(Tensor(xb[i]), kernel, bias, dilation=2).data
             np.testing.assert_allclose(together[i], one, atol=1e-14)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            tz.dilated_causal_conv1d(
-                Tensor(np.ones((5, 3))), Tensor(np.ones((2, 4, 4))), Tensor(np.zeros(4))
-            )
+            _conv(Tensor(np.ones((5, 3))), Tensor(np.ones((2, 4, 4))), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):  # a skip input of the wrong width
+            tz.causal_conv_block(Tensor(np.ones((5, 3))), Tensor(np.ones((5, 3))),
+                                 Tensor(np.ones((2, 3, 4))), Tensor(np.zeros(4)), 1, 0.0, None)
 
 
 class TestGradients:
@@ -343,10 +361,7 @@ class TestGradients:
         kernel = self.p((3, 2, 3))
         bias = self.p((3,))
         check(
-            lambda: tz.tsum(
-                tz.dilated_causal_conv1d(x, kernel, bias, dilation=2)
-                * tz.dilated_causal_conv1d(x, kernel, bias, dilation=2)
-            ),
+            lambda: tz.tsum(_conv(x, kernel, bias, 2) * _conv(x, kernel, bias, 2)),
             {"x": x, "kernel": kernel, "bias": bias},
         )
 
@@ -355,7 +370,7 @@ class TestGradients:
         kernel = self.p((2, 2, 2))
         bias = self.p((2,))
         check(
-            lambda: tz.tsum(tz.dilated_causal_conv1d(x, kernel, bias)),
+            lambda: tz.tsum(_conv(x, kernel, bias)),
             {"x": x, "kernel": kernel, "bias": bias},
         )
 
@@ -387,11 +402,12 @@ class TestGradients:
     def test_dropout_gradient_with_fixed_mask(self):
         # Re-seed inside the closure so the mask is identical on every call.
         x = self.p((4, 4))
+        w1, b1, w2, b2 = self.p((4, 5)), self.p((5,)), self.p((5, 3)), self.p((3,))
 
         def f():
-            return tz.tsum(tz.dropout(x, 0.4, Rng(99)))
+            return tz.tsum(tz.feed_forward(x, w1, b1, w2, b2, 0.4, Rng(99)))
 
-        check(f, {"x": x})
+        check(f, {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2})
 
 
 class TestTape:
@@ -498,12 +514,12 @@ class TestFreedState:
         w = rng.normal(0, 1, (3, 5, 7))
         rate = 0.3
         with Tape() as tape:
-            out = tz.dropout(a, rate, Rng(31))
+            out = _identity_ffn(a, rate, Rng(31))
             loss = tz.tsum(out * Tensor(w))
         tape.backward(loss)
         mask = (Rng(31).random(a.shape) >= rate) / (1.0 - rate)
-        assert out.data.tobytes() == (a.data * mask).tobytes()
-        np.testing.assert_array_equal(a.grad, w * mask)
+        assert out.data.tobytes() == (np.maximum(a.data, 0.0) * mask).tobytes()
+        np.testing.assert_array_equal(a.grad, w * mask * (a.data > 0.0))
 
     def test_add_norm_matches_float_mask_formula(self):
         rng = Rng(32)
