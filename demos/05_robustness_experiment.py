@@ -29,16 +29,17 @@ train_cfg = TrainConfig(
     epochs=20, batch_size=8, learning_rate=3e-3,
     halve_patience=4, stop_patience=10,
     segment_length=80, segment_hop=40, seed=0,
+    elimination={"audio": 0.25},
 )
 
 # ---------------------------------------------------------------------------
 # Two variants per seed: "standard" trains on complete streams; "robust"
-# eliminates audio with probability 0.25 per batch.  Four seeds keep the
-# demo quick; the test suite runs the same experiment with twelve.
+# eliminates audio with probability 0.25 per batch (train_cfg.elimination).
+# Four seeds keep the demo quick; the test suite runs the same experiment
+# with twelve.
 report = experiment_run(
     model_cfg, train_cfg, data,
     seeds=range(4),
-    elimination={"audio": 0.25},
     alpha=0.05,
     log=print,
 )

@@ -253,16 +253,17 @@ def cmd_experiment(args) -> int:
     if args.seeds is not None:
         exp_cfg = replace(exp_cfg, seeds=parse_int_list("--seeds", args.seeds))
     seeds = exp_cfg.seeds
-    elimination = dict(train_cfg.elimination)
-    if not elimination:
-        raise ConfigError(
-            "experiment needs an elimination policy (eliminate.<modality> = rho)"
-        )
     datasets = {
         split: load_dataset(args.data, split, model_cfg.modalities)
         for split in ("train", "val", "test")
     }
     with _output_dir(args.out, args.force):
+        log = None if args.quiet else print
+        # experiment_run checks the seeds and the policy before it trains;
+        # the manifest follows the run, so a rejected one writes nothing.
+        report = experiment_run(
+            model_cfg, train_cfg, datasets, seeds, exp_cfg.alpha, log=log
+        )
         _write_manifest(
             args.out,
             "experiment",
@@ -272,12 +273,8 @@ def cmd_experiment(args) -> int:
                 "train": train_cfg.to_dict(),
                 "seeds": seeds,
                 "alpha": exp_cfg.alpha,
-                "elimination": elimination,
+                "elimination": train_cfg.elimination,
             },
-        )
-        log = None if args.quiet else print
-        report = experiment_run(
-            model_cfg, train_cfg, datasets, seeds, elimination, exp_cfg.alpha, log=log
         )
         text = render_experiment_report(report)
         _write_json(os.path.join(args.out, "report.json"), report.to_dict())

@@ -1,8 +1,8 @@
 """Neural building blocks: attention, convolution stacks, transformer layers.
 
 All layer forwards take and return batched token-major 3-D tensors
-[batch, steps, width] as fused nodes: attention heads are split inside the
-``tensor.attention`` / ``tensor.local_attention`` nodes, a conv layer is one
+[batch, steps, width] as fused nodes: encoder self-attention is one
+``tensor.local_attention`` node (heads split inside), a conv layer is one
 ``tensor.causal_conv_block``, a feed-forward block or the head one
 ``tensor.feed_forward``, and a residual exit one ``tensor.add_norm``.  A
 forward draws dropout exactly when it is passed an ``Rng`` (and its rate is
@@ -112,8 +112,8 @@ class CausalConvStack:
 class EncodingTable:
     """Learned additive encodings (positional or modality), one row per index."""
 
-    def __init__(self, n_rows: int, width: int, rng: Rng, std: float = 0.02):
-        self.table = Tensor(rng.normal(0.0, std, (n_rows, width)), requires_grad=True)
+    def __init__(self, n_rows: int, width: int, rng: Rng):
+        self.table = Tensor(rng.normal(0.0, 0.02, (n_rows, width)), requires_grad=True)
 
     def rows(self, start: int, count: int) -> Tensor:
         n = self.table.data.shape[0]
@@ -128,14 +128,15 @@ class EncodingTable:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention with per-head projections.
+    """Banded multi-head self-attention with per-head projections.
 
-    Tensors stay token-major [batch, tokens, width]; ``tz.attention`` and
-    ``tz.local_attention`` split heads inside their one node.  ``__call__``
+    Tensors stay token-major [batch, tokens, width]; ``tz.local_attention``
+    splits heads inside its one node and confines each token of a time-major
+    sequence to steps within ``mask_length`` of its own.  ``__call__``
     projects keys and values and attends; ``project_kv`` and ``attend`` are
-    its two halves, for callers that project keys and values once and attend
-    to them later (the decoder's cross-attention, whose loop runs in
-    ``tz.decoder``).
+    its two halves.  The decoder's attention weights live here too, but its
+    loop runs in ``tz.decoder``, which projects the cross-attention keys and
+    values once per decode with ``project_kv``.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: Rng, dropout: float = 0.0):
@@ -153,44 +154,20 @@ class MultiHeadAttention:
     def project_kv(self, x: Tensor) -> tuple:
         return self.wk(x), self.wv(x)
 
-    def attend(
-        self,
-        q_src: Tensor,
-        k: Tensor,
-        v: Tensor,
-        additive_mask=None,
-        rng: Rng | None = None,
-        band: tuple | None = None,
-    ) -> tuple:
-        """Attend from ``q_src`` to projected keys and values.
+    def attend(self, q_src: Tensor, k: Tensor, v: Tensor, band: tuple,
+               rng: Rng | None = None) -> Tensor:
+        """Attend from ``q_src`` to projected keys and values of a time-major
+        sequence of ``n_mod`` tokens per step, within ``band = (n_mod,
+        mask_length)``."""
+        n_mod, mask_length = band
+        mixed = tz.local_attention(
+            self.wq(q_src), k, v, self.n_heads, n_mod, mask_length, self.dropout_rate, rng
+        )
+        return self.wo(mixed)
 
-        Returns the output and the pre-dropout weights [batch, heads,
-        queries, keys] as an array.  ``band = (n_mod, mask_length)`` marks a
-        time-major self-attention sequence and routes to
-        ``tz.local_attention``, which confines each token to steps within
-        ``mask_length`` of its own; the weights are then None, and
-        ``additive_mask`` is not used.
-        """
-        q = self.wq(q_src)
-        if band is not None:
-            n_mod, mask_length = band
-            mixed = tz.local_attention(
-                q, k, v, self.n_heads, n_mod, mask_length, self.dropout_rate, rng
-            )
-            return self.wo(mixed), None
-        mixed, probs = tz.attention(q, k, v, self.n_heads, self.dropout_rate, rng, additive_mask)
-        return self.wo(mixed), probs
-
-    def __call__(
-        self,
-        q_src: Tensor,
-        kv_src: Tensor,
-        additive_mask=None,
-        rng: Rng | None = None,
-        band: tuple | None = None,
-    ) -> Tensor:
-        k, v = self.project_kv(kv_src)
-        return self.attend(q_src, k, v, additive_mask, rng, band)[0]
+    def __call__(self, x: Tensor, band: tuple, rng: Rng | None = None) -> Tensor:
+        k, v = self.project_kv(x)
+        return self.attend(x, k, v, band, rng)
 
     def parameters(self, prefix: str) -> dict:
         out = {}
@@ -218,7 +195,8 @@ class FeedForward:
 
 
 class EncoderLayer:
-    """Post-norm transformer encoder layer: self-attention then feed-forward."""
+    """Post-norm transformer encoder layer: banded self-attention then
+    feed-forward."""
 
     def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng,
                  dropout: float = 0.0):
@@ -227,10 +205,10 @@ class EncoderLayer:
         self.norm1 = AddNorm(d_model, dropout)
         self.norm2 = AddNorm(d_model, dropout)
 
-    def __call__(self, x: Tensor, band: tuple | None = None, rng: Rng | None = None) -> Tensor:
+    def __call__(self, x: Tensor, band: tuple, rng: Rng | None = None) -> Tensor:
         """``band = (n_mod, mask_length)`` confines self-attention over a
-        time-major token sequence to a temporal band; None attends to all."""
-        a = self.attn(x, x, None, rng, band)
+        time-major token sequence to a temporal band."""
+        a = self.attn(x, band, rng)
         h = self.norm1(x, a, rng)
         return self.norm2(h, self.ffn(h, rng), rng)
 

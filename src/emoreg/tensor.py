@@ -196,9 +196,6 @@ class Tape:
                 if out is not None:
                     out.grad = None
 
-    def clear(self):
-        self._nodes.clear()
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -463,30 +460,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _linear_forward(x, w, b):
-    """``x @ w + b`` on arrays; ``b`` may be None."""
+    """``x @ w + b`` on arrays."""
     y = np.matmul(x, w)
-    if b is not None:
-        y += b
+    y += b
     return y
 
 
-def _linear_backward(g, x, w: Tensor, b: Tensor | None):
+def _linear_backward(g, x, w: Tensor, b: Tensor):
     """Accumulate the weight gradient (one GEMM over all leading axes) and the
     bias gradient of ``x @ w + b``; return the gradient of ``x``."""
     d_in, d_out = w.data.shape
     g2 = g.reshape(-1, d_out)
     _add_grad(w, np.matmul(x.reshape(-1, d_in).T, g2))
-    if b is not None:
-        _add_grad(b, g2.sum(axis=0))
+    _add_grad(b, g2.sum(axis=0))
     return np.matmul(g, w.data.T)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``x @ w + b`` with a single-GEMM weight gradient."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear width mismatch: {x.data.shape} @ {w.data.shape}")
     tape = _recording(x, w, b)
-    out = _result(_linear_forward(x.data, w.data, None if b is None else b.data), tape)
+    out = _result(_linear_forward(x.data, w.data, b.data), tape)
     if tape is not None:
         tape.record(out, lambda g: _add_grad(x, _linear_backward(g, x.data, w, b)), "linear")
     return out
@@ -917,9 +912,6 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
     out = _result(outputs, tape)
     if tape is not None:
         def bw(g):
-            # Zero-started gradient buffers, filled in the order a tape of
-            # per-step nodes fills them, and contiguous [batch, 1, width]
-            # rows as that tape had, so every sum comes out bit for bit the same.
             ghist = [(np.zeros((b, n_steps, d)), np.zeros((b, n_steps, d))) for _ in layers]
             gcross = [(np.zeros(kc.data.shape), np.zeros(vc.data.shape)) for kc, vc in cross]
             states = iter(reversed(saved))
@@ -927,7 +919,8 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
             for t in reversed(range(n_steps)):
                 now = slice(t * n_mod, (t + 1) * n_mod)
                 gh = g[:, t : t + 1]
-                gh = np.ascontiguousarray(gh) if g_next is None else gh + g_next
+                if g_next is not None:
+                    gh = gh + g_next
                 for l, (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3) in reversed(
                     list(enumerate(layers))
                 ):
@@ -951,8 +944,8 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
                     )
                     gx = gx + _linear_backward(gq, h, *sq)
                     # Steps t..T-1 have all read row t of the history by now.
-                    gx += _linear_backward(np.ascontiguousarray(gv[:, t : t + 1]), h, *sv)
-                    gx += _linear_backward(np.ascontiguousarray(gk[:, t : t + 1]), h, *sk)
+                    gx += _linear_backward(gv[:, t : t + 1], h, *sv)
+                    gx += _linear_backward(gk[:, t : t + 1], h, *sk)
                     if not np.isfinite(gx).all():
                         raise NumericError(
                             f"non-finite gradient flowing out of op 'decoder' at step {t}, "

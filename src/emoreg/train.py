@@ -32,6 +32,7 @@ from .errors import (
     ContractError,
     DegenerateTestError,
     InsufficientDataError,
+    NoModalityError,
     NumericError,
     ShapeError,
 )
@@ -211,6 +212,11 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
     stacks = {}
     for i, (s, feats) in enumerate(jobs):
         pattern = tuple(m for m in mods if feats.get(m) is not None)
+        if not pattern:
+            subset = subsets[i // len(ordered)] or mods
+            raise NoModalityError(
+                f"sample {s.sample_id} has none of the modalities {'+'.join(subset)}"
+            )
         stacks.setdefault((s.n_steps, len(pattern)), {}).setdefault(pattern, []).append(i)
     preds, imps = [None] * len(jobs), [None] * len(jobs)
     for _, groups in sorted(stacks.items()):
@@ -270,6 +276,20 @@ class TrainResult:
     norm_stats: dict
 
 
+def _elimination_policy(model_cfg: ModelConfig, train_cfg: TrainConfig):
+    """``train_cfg``'s ``EliminationPolicy``, or None when it has none; an
+    unknown modality, a bad probability or a single-modality model raises
+    ``ConfigError``."""
+    if not train_cfg.elimination:
+        return None
+    unknown = set(train_cfg.elimination) - set(model_cfg.modalities)
+    if unknown:
+        raise ConfigError(f"elimination names unknown modalities: {sorted(unknown)}")
+    if len(model_cfg.modalities) < 2:
+        raise ConfigError("modality elimination needs at least two modalities")
+    return EliminationPolicy(dict(train_cfg.elimination))
+
+
 def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
               val_samples, log=None) -> TrainResult:
     """Train a model from scratch; returns the best-validation weights.
@@ -289,14 +309,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
                 f"training sample {s.sample_id} lacks modalities {missing}; "
                 "training requires complete streams"
             )
-    policy = None
-    if train_cfg.elimination:
-        unknown = set(train_cfg.elimination) - set(model_cfg.modalities)
-        if unknown:
-            raise ConfigError(f"elimination names unknown modalities: {sorted(unknown)}")
-        if len(model_cfg.modalities) < 2:
-            raise ConfigError("modality elimination needs at least two modalities")
-        policy = EliminationPolicy(dict(train_cfg.elimination))
+    policy = _elimination_policy(model_cfg, train_cfg)
     for s in [*train_samples, *val_samples]:
         for m in model_cfg.modalities:
             x = s.features.get(m)
@@ -488,10 +501,12 @@ def _safe_welch(a, b, alternative: str):
 
 
 def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dict,
-                   seeds, elimination: dict, alpha: float = 0.05,
-                   log=None) -> ExperimentReport:
+                   seeds, alpha: float = 0.05, log=None) -> ExperimentReport:
     """Train standard and elimination-trained variants across seeds and
     compare them under every missing-modality condition.
+
+    The robust variant trains with ``train_cfg.elimination``, which must not
+    be empty, and the standard one without elimination.
 
     Two hypothesis families, each Holm-corrected on its own:
 
@@ -503,11 +518,15 @@ def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dic
     seeds = ExperimentConfig(seeds, alpha).seeds
     if len(seeds) < 2:
         raise InsufficientDataError("experiments need at least two seeds")
+    if _elimination_policy(model_cfg, train_cfg) is None:
+        raise ConfigError(
+            "experiment needs an elimination policy (eliminate.<modality> = rho)"
+        )
     mods = model_cfg.modalities
     conditions = [("all", None)] + [
         (f"no_{m}", tuple(x for x in mods if x != m)) for m in mods
     ]
-    variants = {"standard": {}, "robust": dict(elimination)}
+    variants = {"standard": {}, "robust": dict(train_cfg.elimination)}
     values = {}  # (variant, condition, metric) -> list over seeds
     for variant, policy in variants.items():
         for si, seed in enumerate(seeds):

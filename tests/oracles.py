@@ -6,6 +6,12 @@ from emoreg import tensor as tz
 from emoreg.tensor import Tensor
 
 
+def _attend(mha, q_src: Tensor, k: Tensor, v: Tensor, mask) -> tuple:
+    """Unbanded masked attention through ``mha``'s weights: (output, weights)."""
+    mixed, probs = tz.attention(mha.wq(q_src), k, v, mha.n_heads, 0.0, None, mask)
+    return mha.wo(mixed), probs
+
+
 def decode_uncached(model, encoded: Tensor) -> Tensor:
     """Reference decode that rebuilds every step from raw history.
 
@@ -30,9 +36,10 @@ def decode_uncached(model, encoded: Tensor) -> Tensor:
         causal = np.where(pos[:, None] >= pos[None, :], 0.0, -np.inf)
         own_step = np.where(pos[:, None] == np.repeat(pos, n_mod)[None, :], 0.0, -np.inf)
         for layer, (k_all, v_all) in zip(model.decoder, cross):
-            h1 = layer.norm1(h, layer.self_attn(h, h, causal))
+            sa = layer.self_attn
+            h1 = layer.norm1(h, _attend(sa, h, *sa.project_kv(h), causal)[0])
             sl = (slice(None), slice(0, s * n_mod))
-            c, _ = layer.cross_attn.attend(h1, k_all[sl], v_all[sl], own_step)
+            c, _ = _attend(layer.cross_attn, h1, k_all[sl], v_all[sl], own_step)
             h2 = layer.norm2(h1, c)
             h = layer.norm3(h2, layer.ffn(h2))
         last = h[:, t : t + 1]

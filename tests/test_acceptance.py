@@ -613,12 +613,9 @@ def test_criterion_6_robustness_experiment():
     train_cfg = TrainConfig(
         epochs=20, batch_size=8, learning_rate=3e-3,
         halve_patience=4, stop_patience=10,
-        segment_length=80, segment_hop=40, seed=0,
+        segment_length=80, segment_hop=40, seed=0, elimination={"audio": 0.25},
     )
-    report = experiment_run(
-        _tiny_model_config(), train_cfg, data, seeds=range(12),
-        elimination={"audio": 0.25}, alpha=0.05,
-    )
+    report = experiment_run(_tiny_model_config(), train_cfg, data, seeds=range(12), alpha=0.05)
 
     by_label = {
         (c.family, c.label, c.metric): c for c in report.comparisons

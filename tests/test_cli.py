@@ -409,6 +409,23 @@ class TestExperimentCommand:
         assert rc == 2
         assert "eliminate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, seeds, code", [
+        ("train.epochs = 1\n", "0,1", 2),
+        ("train.epochs = 1\neliminate.audio = 0.3\n", "0", 1),
+    ], ids=["no-policy", "one-seed"])
+    def test_rejected_run_leaves_forced_dir_untouched(self, dataset, workspace, config, seeds,
+                                                      code):
+        cfg = workspace / "rejected.cfg"
+        cfg.write_text(config)
+        out = workspace / "exp_forced"
+        out.mkdir(exist_ok=True)
+        (out / "manifest.json").write_text("earlier run\n")
+        rc = main(["experiment", "--data", str(dataset), "--out", str(out),
+                   "--config", str(cfg), "--seeds", seeds, "--force", "--quiet"])
+        assert rc == code
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == "earlier run\n"
+
 
 class TestParser:
     def test_unknown_command_exits_2(self):

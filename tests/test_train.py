@@ -11,6 +11,7 @@ from emoreg.errors import (
     ConfigError,
     ContractError,
     InsufficientDataError,
+    NoModalityError,
     ShapeError,
 )
 from emoreg.model import EmotionRegressor, ModelConfig
@@ -364,6 +365,14 @@ class TestEvaluate:
         with pytest.raises(InsufficientDataError):
             evaluate(self.model, [], self.stats)
 
+    def test_sample_without_the_subset_named(self):
+        self.setup()
+        samples = sorted(self.data["test"], key=lambda s: s.sample_id)
+        samples[1].features["text"] = None
+        with pytest.raises(NoModalityError,
+                           match=rf"sample {samples[1].sample_id} has none of the modalities text$"):
+            evaluate(self.model, samples, self.stats, use_modalities=("text",))
+
 
 class TestAblation:
     def test_all_subsets_present(self):
@@ -409,6 +418,19 @@ class TestAblation:
         for m, w in full.importance.items():
             assert report.importance[m] == pytest.approx(w, rel=1e-12)
 
+    def test_sample_without_a_subset_named(self):
+        data = tiny_data(seed=10)
+        model_cfg = tiny_model_config()
+        model = EmotionRegressor(model_cfg, Rng(1))
+        from emoreg.data import compute_norm_stats
+
+        stats = compute_norm_stats(data["train"], model_cfg.modalities)
+        samples = sorted(data["test"], key=lambda s: s.sample_id)
+        samples[1].features["text"] = None
+        with pytest.raises(NoModalityError,
+                           match=rf"sample {samples[1].sample_id} has none of the modalities text$"):
+            ablation_study(model, samples, stats)
+
     def test_dominant_modality(self):
         assert dominant_modality({"a": 0.2, "b": 0.5, "c": 0.3}) == "b"
         # Deterministic tie-break by name.
@@ -422,10 +444,9 @@ class TestExperiment:
         data = tiny_data(seed=11)
         report = experiment_run(
             tiny_model_config(),
-            tiny_train_config(epochs=3),
+            tiny_train_config(epochs=3, elimination={"audio": 0.25}),
             data,
             seeds=[0, 1],
-            elimination={"audio": 0.25},
         )
         assert report.conditions == ["all", "no_audio", "no_video", "no_text"]
         assert report.variants == ["standard", "robust"]
@@ -441,9 +462,21 @@ class TestExperiment:
         data = tiny_data(seed=12)
         with pytest.raises(InsufficientDataError):
             experiment_run(
-                tiny_model_config(), tiny_train_config(epochs=1), data,
-                seeds=[0], elimination={},
+                tiny_model_config(), tiny_train_config(epochs=1), data, seeds=[0],
             )
+
+    @pytest.mark.parametrize("policy, match", [
+        ({}, r"elimination policy \(eliminate\.<modality> = rho\)"),
+        ({"audoi": 0.25}, r"unknown modalities: \['audoi'\]"),
+        ({"audio": 1.5}, "probability for 'audio' is 1.5"),
+    ])
+    def test_policy_checked_before_any_training(self, monkeypatch, policy, match):
+        trained = []
+        monkeypatch.setattr(train_module, "train_run", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=match):
+            experiment_run(tiny_model_config(), tiny_train_config(epochs=1, elimination=policy),
+                           tiny_data(seed=12), seeds=[0, 1])
+        assert trained == []
 
 
 class TestReportRendering:
