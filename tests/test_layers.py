@@ -187,6 +187,21 @@ class TestMultiHeadAttention:
         np.testing.assert_array_equal(self.mha.attend(x, k, v, (2, 1)).data,
                                       self.mha(x, (2, 1)).data)
 
+    def test_banded_attend_returns_no_weights(self):
+        # attend returns the output alone, not an (output, weights) pair, and
+        # it is the dense band oracle run per head on the layer's projections.
+        x = Tensor(self.rng.normal(0, 1, (1, 6, 8)))
+        k, v = self.mha.project_kv(x)
+        out = self.mha.attend(x, k, v, (2, 1))
+        assert isinstance(out, Tensor)
+
+        def heads(t):  # token-major [1, 6, 8] -> [1, 2 heads, 6, 4]
+            return np.swapaxes(t.data.reshape(1, 6, 2, 4), 1, 2)
+
+        mixed = _dense_band_attention(heads(self.mha.wq(x)), heads(k), heads(v), 2, 1)
+        want = self.mha.wo(Tensor(np.swapaxes(mixed, 1, 2).reshape(1, 6, 8))).data
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
             ly.MultiHeadAttention(7, 2, Rng(0))
