@@ -10,7 +10,8 @@ Subcommands::
     trace       write one sample's predicted and true traces as CSV
 
 Exit codes: 0 on success, 2 for configuration/usage mistakes, 1 for runtime
-failures.  Commands that produce a directory write a ``manifest.json`` first
+failures.  Commands that produce a directory write a ``manifest.json`` once
+their run has succeeded, so a rejected run leaves an earlier manifest intact
 (the manifest records the fully materialized configuration and a wall-clock
 stamp; all other outputs are bit-reproducible for a fixed config and seed).
 A directory such a command created is removed again when the command fails
@@ -57,23 +58,9 @@ from .train import (
 CHECKPOINT_NAME = "model.ckpt"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -162,13 +149,13 @@ def _find_sample(samples, sample_id: str):
 def cmd_synth(args) -> int:
     (synth_cfg,) = read_config(_load_raw_config(args.config), SynthConfig)
     with _output_dir(args.out, args.force):
-        _write_manifest(
-            args.out, "synth", {"seed": args.seed, "synth": synth_cfg.to_dict()}
-        )
         data = synth_generate(synth_cfg, args.seed)
         for split, samples in data.items():
             write_dataset(args.out, split, samples)
             print(f"wrote {len(samples)} samples to {os.path.join(args.out, split)}")
+        _write_manifest(
+            args.out, "synth", {"seed": args.seed, "synth": synth_cfg.to_dict()}
+        )
     return 0
 
 
@@ -179,6 +166,8 @@ def cmd_train(args) -> int:
     train_samples = load_dataset(args.data, "train", model_cfg.modalities)
     val_samples = load_dataset(args.data, "val", model_cfg.modalities)
     with _output_dir(args.out, args.force):
+        log = None if args.quiet else print
+        result = train_run(model_cfg, train_cfg, train_samples, val_samples, log=log)
         _write_manifest(
             args.out,
             "train",
@@ -190,8 +179,6 @@ def cmd_train(args) -> int:
                 "train": train_cfg.to_dict(),
             },
         )
-        log = None if args.quiet else print
-        result = train_run(model_cfg, train_cfg, train_samples, val_samples, log=log)
         ckpt = os.path.join(args.out, CHECKPOINT_NAME)
         save_checkpoint(
             ckpt,
@@ -259,8 +246,7 @@ def cmd_experiment(args) -> int:
     }
     with _output_dir(args.out, args.force):
         log = None if args.quiet else print
-        # experiment_run checks the seeds and the policy before it trains;
-        # the manifest follows the run, so a rejected one writes nothing.
+        # experiment_run checks the seeds and the policy before it trains.
         report = experiment_run(
             model_cfg, train_cfg, datasets, seeds, exp_cfg.alpha, log=log
         )

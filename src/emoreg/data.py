@@ -281,7 +281,7 @@ def _check_timestamps(path, ts: np.ndarray):
         if bad.size:
             row = int(bad[0]) + 3  # +1 header, +1 gap index, +1 one-based
             raise DataLoadError(
-                f"{path}:{row}: timestamp spacing {gaps[bad[0]]!r}, "
+                f"{path}:{row}: timestamp spacing {float(gaps[bad[0]])!r}, "
                 f"expected {STEP_SECONDS}"
             )
 

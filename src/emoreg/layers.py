@@ -8,9 +8,11 @@ All layer forwards take and return batched token-major 3-D tensors
 forward draws dropout exactly when it is passed an ``Rng`` (and its rate is
 above 0); without one it is deterministic.  ``DecoderLayer`` has no forward
 of its own: it holds the weights that the ``tensor.decoder`` node runs.
-Modules expose their parameters through ``parameters(prefix)``, which yields
-a flat name -> Tensor mapping used by the optimizer, checkpointing, and
-gradient checking.
+Every layer is a ``Module``: ``parameters(prefix)`` maps each parameter's
+attribute path (attribute names, list indices and dict keys joined by dots,
+as in ``decoder.0.self_attn.wq.w``) to its Tensor, for the optimizer,
+checkpointing and gradient checking.  ``CausalConvStack`` alone names its
+own, as ``conv{i}.kernel`` and ``conv{i}.bias``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,37 @@ from .errors import ConfigError, ShapeError
 from .tensor import Rng, Tensor
 
 
+class Module:
+    """Base class that names parameters by attribute path."""
+
+    def parameters(self, prefix: str = "") -> dict:
+        """Every ``requires_grad`` Tensor reachable through ``vars(self)``,
+        in assignment order, keyed by its dotted path under ``prefix``."""
+        out = {}
+        for name, value in vars(self).items():
+            _collect(f"{prefix}.{name}" if prefix else name, value, out)
+        return out
+
+
+def _collect(path: str, value, out: dict):
+    # Not a closure: a recursive closure is a reference cycle, which keeps
+    # ``out`` and so a discarded model's weights alive until gc runs.
+    if isinstance(value, Module):
+        out.update(value.parameters(path))
+    elif isinstance(value, Tensor) and value.requires_grad:
+        out[path] = value
+    elif isinstance(value, (list, dict)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            _collect(f"{path}.{key}", item, out)
+
+
 def glorot_uniform(shape, fan_in: int, fan_out: int, rng: Rng) -> Tensor:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
 
 
-class Linear:
+class Linear(Module):
     """Affine map on the last axis, Glorot-uniform weights and zero bias."""
 
     def __init__(self, d_in: int, d_out: int, rng: Rng):
@@ -39,11 +66,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return tz.linear(x, self.w, self.b)
 
-    def parameters(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-
-class AddNorm:
+class AddNorm(Module):
     """Residual exit of a sublayer: layer_norm(x + dropout(y)), one tape node."""
 
     def __init__(self, width: int, dropout: float = 0.0):
@@ -54,11 +78,8 @@ class AddNorm:
     def __call__(self, x: Tensor, y: Tensor, rng: Rng | None = None) -> Tensor:
         return tz.add_norm(x, y, self.gain, self.bias, self.dropout_rate, rng)
 
-    def parameters(self, prefix: str) -> dict:
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
-
-class CausalConvStack:
+class CausalConvStack(Module):
     """Stack of dilated causal convolutions with residual connections.
 
     Layer i uses dilation 2**i, so n layers with kernel size k give a
@@ -109,7 +130,7 @@ class CausalConvStack:
         return out
 
 
-class EncodingTable:
+class EncodingTable(Module):
     """Learned additive encodings (positional or modality), one row per index."""
 
     def __init__(self, n_rows: int, width: int, rng: Rng):
@@ -123,11 +144,8 @@ class EncodingTable:
             )
         return self.table[start : start + count]
 
-    def parameters(self, prefix: str) -> dict:
-        return {f"{prefix}.table": self.table}
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Banded multi-head self-attention with per-head projections.
 
     Tensors stay token-major [batch, tokens, width]; ``tz.local_attention``
@@ -169,14 +187,8 @@ class MultiHeadAttention:
         k, v = self.project_kv(x)
         return self.attend(x, k, v, band, rng)
 
-    def parameters(self, prefix: str) -> dict:
-        out = {}
-        for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            out.update(lin.parameters(f"{prefix}.{name}"))
-        return out
 
-
-class FeedForward:
+class FeedForward(Module):
     """Position-wise linear -> ReLU -> dropout -> linear: one ``tz.feed_forward``."""
 
     def __init__(self, d_model: int, d_hidden: int, rng: Rng, dropout: float = 0.0):
@@ -188,13 +200,8 @@ class FeedForward:
         return tz.feed_forward(x, self.w1.w, self.w1.b, self.w2.w, self.w2.b,
                                self.dropout_rate, rng)
 
-    def parameters(self, prefix: str) -> dict:
-        out = self.w1.parameters(f"{prefix}.w1")
-        out.update(self.w2.parameters(f"{prefix}.w2"))
-        return out
 
-
-class EncoderLayer:
+class EncoderLayer(Module):
     """Post-norm transformer encoder layer: banded self-attention then
     feed-forward."""
 
@@ -212,15 +219,8 @@ class EncoderLayer:
         h = self.norm1(x, a, rng)
         return self.norm2(h, self.ffn(h, rng), rng)
 
-    def parameters(self, prefix: str) -> dict:
-        out = self.attn.parameters(f"{prefix}.attn")
-        out.update(self.ffn.parameters(f"{prefix}.ffn"))
-        out.update(self.norm1.parameters(f"{prefix}.norm1"))
-        out.update(self.norm2.parameters(f"{prefix}.norm2"))
-        return out
 
-
-class DecoderLayer:
+class DecoderLayer(Module):
     """Weights of one post-norm decoder layer: causal self-attention over the
     decoded past, cross-attention over the current step's per-modality
     encoder outputs, then feed-forward, each closed by an ``AddNorm``.
@@ -245,17 +245,8 @@ class DecoderLayer:
         norms = (self.norm1, self.norm2, self.norm3)
         return tuple((m.w, m.b) for m in linears) + tuple((n.gain, n.bias) for n in norms)
 
-    def parameters(self, prefix: str) -> dict:
-        out = self.self_attn.parameters(f"{prefix}.self_attn")
-        out.update(self.cross_attn.parameters(f"{prefix}.cross_attn"))
-        out.update(self.ffn.parameters(f"{prefix}.ffn"))
-        out.update(self.norm1.parameters(f"{prefix}.norm1"))
-        out.update(self.norm2.parameters(f"{prefix}.norm2"))
-        out.update(self.norm3.parameters(f"{prefix}.norm3"))
-        return out
 
-
-class RegressionHead:
+class RegressionHead(Module):
     """Per-step head to one scalar: a ``tz.feed_forward`` without dropout."""
 
     def __init__(self, d_model: int, d_hidden: int, rng: Rng):
@@ -264,8 +255,3 @@ class RegressionHead:
 
     def __call__(self, x: Tensor) -> Tensor:
         return tz.feed_forward(x, self.w1.w, self.w1.b, self.w2.w, self.w2.b, 0.0, None)
-
-    def parameters(self, prefix: str) -> dict:
-        out = self.w1.parameters(f"{prefix}.w1")
-        out.update(self.w2.parameters(f"{prefix}.w2"))
-        return out

@@ -53,6 +53,7 @@ from .layers import (
     DecoderLayer,
     EncoderLayer,
     EncodingTable,
+    Module,
     RegressionHead,
 )
 from .tensor import Rng, Tensor
@@ -100,13 +101,14 @@ class ModelConfig(DictConfig):
             raise ConfigError("d_model must be divisible by both head counts")
 
 
-class EmotionRegressor:
-    """Encoder-decoder regressor over multimodal feature streams."""
+class EmotionRegressor(Module):
+    """Encoder-decoder regressor over multimodal feature streams.  Its
+    attribute paths are its checkpoint keys (``layers.Module``)."""
 
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
         c = config
-        self.conv_fronts = {
+        self.conv = {
             m: CausalConvStack(
                 c.modality_widths[m], c.d_model, c.conv_layers, c.conv_kernel,
                 rng.child(f"conv/{m}"), c.dropout,
@@ -130,21 +132,6 @@ class EmotionRegressor:
             for i in range(c.dec_layers)
         ]
         self.head = RegressionHead(c.d_model, c.head_hidden, rng.child("head"))
-
-    def parameters(self) -> dict:
-        out = {}
-        for m, stack in self.conv_fronts.items():
-            out.update(stack.parameters(f"conv.{m}"))
-        out.update(self.enc_positions.parameters("enc_positions"))
-        out.update(self.modality_codes.parameters("modality_codes"))
-        for i, layer in enumerate(self.encoder):
-            out.update(layer.parameters(f"encoder.{i}"))
-        out.update(self.dec_positions.parameters("dec_positions"))
-        out["start_vector"] = self.start_vector
-        for i, layer in enumerate(self.decoder):
-            out.update(layer.parameters(f"decoder.{i}"))
-        out.update(self.head.parameters("head"))
-        return out
 
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
@@ -195,7 +182,7 @@ class EmotionRegressor:
                 raise ShapeError("modalities disagree on sequence length")
             elif x.shape[0] != batch:
                 raise ShapeError("modalities disagree on batch size")
-            front = self.conv_fronts[m](Tensor(x), rng)
+            front = self.conv[m](Tensor(x), rng)
             mi = c.modalities.index(m)
             token = front + self.enc_positions.rows(0, n_steps) + self.modality_codes.rows(mi, 1)
             tokens.append(tz.reshape(token, token.data.shape[:2] + (1, c.d_model)))

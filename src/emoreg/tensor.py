@@ -182,9 +182,6 @@ class Tape:
         pending = reversed(self._nodes)
         try:
             for out, backward_fn, name in pending:
-                if out is None:
-                    backward_fn(None)
-                    continue
                 g, out.grad = out.grad, None
                 if g is None:
                     continue
@@ -193,8 +190,7 @@ class Tape:
                 backward_fn(g)
         finally:
             for out, _, _ in pending:  # left over only when a callback raised
-                if out is not None:
-                    out.grad = None
+                out.grad = None
 
 
 _TAPE_STACK: list[Tape] = []

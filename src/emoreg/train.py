@@ -351,10 +351,16 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
     history = RunHistory()
     best_state = None
     for epoch in range(train_cfg.epochs):
-        order = rng.child(f"shuffle/{epoch}").permutation(len(segments))
+        # A batch stacks segments of one length (samples shorter than
+        # segment_length give shorter ones), taken in order of first appearance.
+        by_length = {}
+        for i in rng.child(f"shuffle/{epoch}").permutation(len(segments)):
+            by_length.setdefault(segments[i].n_steps, []).append(segments[i])
+        size = train_cfg.batch_size
+        batches = [group[lo : lo + size] for group in by_length.values()
+                   for lo in range(0, len(group), size)]
         losses = []
-        for lo in range(0, len(order), train_cfg.batch_size):
-            chunk = [segments[i] for i in order[lo : lo + train_cfg.batch_size]]
+        for chunk in batches:
             features, labels = collate(chunk, model_cfg.modalities)
             if policy is not None:
                 removed = policy.sample(eliminate_rng)

@@ -348,7 +348,7 @@ def test_criterion_2_architecture_invariants():
         cfg, rng = _random_config(i)
         model = EmotionRegressor(cfg, Rng(3000 + i))
         reach = cfg.enc_layers * cfg.mask_length
-        rfield = model.conv_fronts[cfg.modalities[0]].receptive_field
+        rfield = model.conv[cfg.modalities[0]].receptive_field
         n_steps = reach + rfield + 6
         batch = 2
         features = {

@@ -223,6 +223,21 @@ class TestTrain:
         assert main(args + ["--force"]) == 1
         assert (out / "keep.txt").read_text() == "mine"
 
+    def test_rejected_run_leaves_forced_manifest_untouched(self, dataset, workspace, capsys):
+        # 40-step training segments exceed max_steps: train_run rejects the
+        # run, and the earlier run's manifest must survive it.
+        out = workspace / "train_forced"
+        out.mkdir()
+        (out / "manifest.json").write_text("earlier run\n")
+        cfg = workspace / "tiny_max_steps.cfg"
+        cfg.write_text(TRAIN_CFG + "model.max_steps = 20\n")
+        rc = main(["train", "--data", str(dataset), "--out", str(out),
+                   "--config", str(cfg), "--force", "--quiet"])
+        assert rc == 1
+        assert "exceeds max_steps=20" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == "earlier run\n"
+
 
 class TestEval:
     def test_stdout_and_json(self, run_dir, dataset, workspace, capsys):

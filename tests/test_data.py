@@ -213,7 +213,8 @@ class TestLoadErrors:
         lines = open(path).read().splitlines()
         lines[3] = "1.25,0.0"
         open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(DataLoadError, match="spacing"):
+        with pytest.raises(DataLoadError,
+                           match=r"labels\.csv:4: timestamp spacing 0\.75, expected 0\.5$"):
             load_sample(d, ("audio",))
 
     def test_row_count_mismatch(self, tmp_path):

@@ -1,5 +1,8 @@
 """Tests for the neural building blocks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,20 @@ class TestLinear:
         limit = np.sqrt(6.0 / 20.0)
         assert np.all(np.abs(lin.w.data) <= limit)
         assert np.all(lin.b.data == 0.0)
+
+
+class TestModule:
+    def test_parameters_free_with_their_module(self):
+        # Weights must be freed by reference counting once the module goes,
+        # not kept by a reference cycle until the collector runs.
+        gc.disable()
+        try:
+            layer = ly.EncoderLayer(8, 2, 16, Rng(0))
+            weights = weakref.ref(layer.parameters("enc")["enc.attn.wq.w"].data)
+            del layer
+            assert weights() is None
+        finally:
+            gc.enable()
 
 
 class TestCausalConvStack:

@@ -415,6 +415,32 @@ class TestCheckpoint:
         with pytest.raises(DataLoadError, match="model.npz"):
             load_checkpoint(path)
 
+    def test_parameter_names_are_pinned(self):
+        # The names are checkpoint keys and their order is the optimizer's:
+        # changing either breaks saved checkpoints or reproducible training.
+        model = EmotionRegressor(tiny_config(), Rng(0))
+        conv = [f"conv.{m}.{n}" for m in ("a", "b") for n in (
+            "conv0.kernel", "conv0.bias", "conv1.kernel", "conv1.bias",
+            "res_proj.w", "res_proj.b")]
+        linears = ["wq.w", "wq.b", "wk.w", "wk.b", "wv.w", "wv.b", "wo.w", "wo.b"]
+        ffn = ["ffn.w1.w", "ffn.w1.b", "ffn.w2.w", "ffn.w2.b"]
+        expected = (
+            conv + ["enc_positions.table", "modality_codes.table"]
+            + [f"encoder.0.attn.{n}" for n in linears]
+            + [f"encoder.0.{n}" for n in ffn]
+            + ["encoder.0.norm1.gain", "encoder.0.norm1.bias",
+               "encoder.0.norm2.gain", "encoder.0.norm2.bias",
+               "dec_positions.table", "start_vector"]
+            + [f"decoder.0.self_attn.{n}" for n in linears]
+            + [f"decoder.0.cross_attn.{n}" for n in linears]
+            + [f"decoder.0.{n}" for n in ffn]
+            + ["decoder.0.norm1.gain", "decoder.0.norm1.bias",
+               "decoder.0.norm2.gain", "decoder.0.norm2.bias",
+               "decoder.0.norm3.gain", "decoder.0.norm3.bias",
+               "head.w1.w", "head.w1.b", "head.w2.w", "head.w2.b"]
+        )
+        assert list(model.parameters()) == expected
+
     def test_parameter_count(self):
         model = EmotionRegressor(tiny_config(), Rng(21))
         n = model.n_parameters()

@@ -293,6 +293,28 @@ class TestTrainRun:
                         data["train"], val)
         assert len(res.history.epochs) == 1
 
+    def test_mixed_length_samples_batch_by_segment_length(self, monkeypatch):
+        # A 40-step sample gives two 20-step segments and a 15-step one a
+        # single 15-step segment; batch_size 4 would stack all three.
+        shapes, real = [], train_module.collate
+
+        def recording(chunk, modalities):
+            shapes.append(sorted(seg.n_steps for seg in chunk))
+            return real(chunk, modalities)
+
+        monkeypatch.setattr(train_module, "collate", recording)
+        data = tiny_data(seed=10)
+        train = [
+            type(s)(s.sample_id, s.timestamps[:n],
+                    {m: x[:n] for m, x in s.features.items()}, s.labels[:n])
+            for s, n in zip(data["train"], (40, 15))
+        ]
+        res = train_run(tiny_model_config(),
+                        tiny_train_config(epochs=2, batch_size=4, segment_length=20),
+                        train, data["val"])
+        assert len(res.history.epochs) == 2
+        assert sorted(shapes) == [[15], [15], [20, 20], [20, 20]]
+
 
 class TestEvaluate:
     def setup(self):
