@@ -13,12 +13,12 @@ from emoreg import tensor as tz
 from emoreg.tensor import Rng, Tape, Tensor, finite_difference_check
 
 # ---------------------------------------------------------------------------
-# Parameters are Tensors with requires_grad=True.  The Rng wrapper gives
+# Parameters are Tensors with requires_grad=True.  Rng, a numpy Generator, gives
 # named, reproducible random streams.
 rng = Rng(0)
-w1 = Tensor(rng.normal(0.0, 0.5, (3, 8)), requires_grad=True, name="w1")
-b1 = Tensor(np.zeros(8), requires_grad=True, name="b1")
-w2 = Tensor(rng.normal(0.0, 0.5, (8, 1)), requires_grad=True, name="w2")
+w1 = Tensor(rng.normal(0.0, 0.5, (3, 8)), requires_grad=True)
+b1 = Tensor(np.zeros(8), requires_grad=True)
+w2 = Tensor(rng.normal(0.0, 0.5, (8, 1)), requires_grad=True)
 x = rng.normal(0.0, 1.0, (16, 3))
 y = np.sin(x.sum(axis=1, keepdims=True))
 

@@ -394,7 +394,8 @@ def collate(segments, modalities) -> tuple:
     labels [B, T]).  Modality availability must be uniform across the batch."""
     if not segments:
         raise ContractError("cannot collate an empty batch")
-    n = segments[0].n_steps
+    if any(seg.n_steps != segments[0].n_steps for seg in segments):
+        raise ContractError("segment lengths disagree within a batch")
     features = {}
     for m in modalities:
         present = [seg.features.get(m) is not None for seg in segments]
@@ -403,9 +404,6 @@ def collate(segments, modalities) -> tuple:
                 f"modality {m!r} present for only part of the batch"
             )
         if all(present):
-            for seg in segments:
-                if seg.n_steps != n:
-                    raise ContractError("segment lengths disagree within a batch")
             features[m] = np.stack([seg.features[m] for seg in segments])
         else:
             features[m] = None

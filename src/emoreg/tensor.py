@@ -9,6 +9,13 @@ holds, so the model's layers run as fused nodes (``attention``, ``add_norm``,
 ``causal_conv_block``, ``feed_forward``, ``decoder``) that save only what
 their hand-written backward reads.
 
+Every op makes its node the same way: it computes its output value, defines
+``bw(g)``, which accumulates the input gradients, and returns
+``_node(name, value, inputs, bw)``, the one place a node is recorded.  An op
+checks ``_recording`` before its forward only to save state that evaluation
+must not pay for (``attention``'s weights, the conv block's mask, the
+decoder's per-step activations).
+
 Everything is float64: gradient checks against central finite differences at
 step 1e-5 only make sense at that precision.
 """
@@ -30,8 +37,8 @@ from .errors import (
 )
 
 
-class Rng:
-    """Deterministic random source: PCG64 behind numpy's Generator API.
+class Rng(np.random.Generator):
+    """Deterministic random source: numpy's Generator over PCG64.
 
     The same seed yields the same draw sequence on every run and platform.
     ``child(label)`` derives an independent, reproducible substream from a
@@ -41,38 +48,22 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.generator = np.random.Generator(np.random.PCG64(self.seed))
+        super().__init__(np.random.PCG64(self.seed))
 
     def child(self, label: str) -> "Rng":
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
         return Rng(int.from_bytes(digest[:8], "little"))
 
-    def normal(self, mean, std, shape):
-        return self.generator.normal(mean, std, size=shape)
-
-    def uniform(self, lo, hi, shape):
-        return self.generator.uniform(lo, hi, size=shape)
-
-    def random(self, shape):
-        return self.generator.random(size=shape)
-
-    def integers(self, lo, hi):
-        return int(self.generator.integers(lo, hi))
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
-
 
 class Tensor:
     """A dense float64 array plus optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.name = name
 
     @property
     def shape(self):
@@ -92,8 +83,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # Operator sugar; the free functions below do the real work.
     def __add__(self, other):
@@ -215,7 +205,7 @@ def _recording(*tensors) -> Tape | None:
     if tape is None:
         return None
     for t in tensors:
-        if t is not None and t.requires_grad:
+        if t.requires_grad:
             return tape
     return None
 
@@ -239,8 +229,15 @@ def _add_grad(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
-def _result(data, tape) -> Tensor:
-    return Tensor(data, requires_grad=tape is not None)
+def _node(name: str, value, inputs, backward) -> Tensor:
+    """Wrap ``value`` as an op's output.  Under a tape, when an input requires
+    gradients, the output does too and ``backward(g)`` is recorded as the
+    op's node under ``name``; otherwise ``backward`` is dropped unused."""
+    tape = _recording(*inputs)
+    out = Tensor(value, requires_grad=tape is not None)
+    if tape is not None:
+        tape.record(out, backward, name)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,94 +245,60 @@ def _result(data, tape) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _recording(a, b)
-    out = _result(a.data + b.data, tape)
-    if tape is not None:
+    def bw(g):
+        _add_grad(a, g)
+        _add_grad(b, g)
 
-        def bw(g):
-            _add_grad(a, g)
-            _add_grad(b, g)
-
-        tape.record(out, bw, "add")
-    return out
+    return _node("add", a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    tape = _recording(a, b)
-    out = _result(a.data - b.data, tape)
-    if tape is not None:
+    def bw(g):
+        _add_grad(a, g)
+        _add_grad(b, -g)
 
-        def bw(g):
-            _add_grad(a, g)
-            _add_grad(b, -g)
-
-        tape.record(out, bw, "sub")
-    return out
+    return _node("sub", a.data - b.data, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
-    tape = _recording(a)
-    out = _result(-a.data, tape)
-    if tape is not None:
-        tape.record(out, lambda g: _add_grad(a, -g), "neg")
-    return out
+    return _node("neg", -a.data, (a,), lambda g: _add_grad(a, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _recording(a, b)
-    out = _result(a.data * b.data, tape)
-    if tape is not None:
+    def bw(g):
+        _add_grad(a, g * b.data)
+        _add_grad(b, g * a.data)
 
-        def bw(g):
-            _add_grad(a, g * b.data)
-            _add_grad(b, g * a.data)
-
-        tape.record(out, bw, "mul")
-    return out
+    return _node("mul", a.data * b.data, (a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    tape = _recording(a, b)
-    out = _result(a.data / b.data, tape)
-    if tape is not None:
+    quotient = a.data / b.data
 
-        def bw(g):
-            _add_grad(a, g / b.data)
-            _add_grad(b, -g * out.data / b.data)
+    def bw(g):
+        _add_grad(a, g / b.data)
+        _add_grad(b, -g * quotient / b.data)
 
-        tape.record(out, bw, "div")
-    return out
+    return _node("div", quotient, (a, b), bw)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    tape = _recording(a)
-    out = _result(a.data.sum(axis=axis, keepdims=keepdims), tape)
-    if tape is not None:
+    def bw(g):
         shape = a.data.shape
+        _add_grad(a, np.broadcast_to(_expand(g, shape, axis, keepdims), shape))
 
-        def bw(g):
-            _add_grad(a, np.broadcast_to(_expand(g, shape, axis, keepdims), shape))
-
-        tape.record(out, bw, "sum")
-    return out
+    return _node("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    tape = _recording(a)
-    out = _result(a.data.mean(axis=axis, keepdims=keepdims), tape)
-    if tape is not None:
+    def bw(g):
         shape = a.data.shape
         count = a.data.size if axis is None else np.prod(
             [shape[i] for i in _norm_axes(axis, a.data.ndim)]
         )
+        _add_grad(a, np.broadcast_to(_expand(g, shape, axis, keepdims), shape) / count)
 
-        def bw(g):
-            _add_grad(
-                a, np.broadcast_to(_expand(g, shape, axis, keepdims), shape) / count
-            )
-
-        tape.record(out, bw, "mean")
-    return out
+    return _node("mean", a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
 
 
 def _norm_axes(axis, ndim):
@@ -354,11 +317,8 @@ def _expand(g, shape, axis, keepdims):
 
 
 def relu(a: Tensor) -> Tensor:
-    tape = _recording(a)
-    out = _result(np.maximum(a.data, 0.0), tape)
-    if tape is not None:
-        tape.record(out, lambda g: _add_grad(a, g * (a.data > 0.0)), "relu")
-    return out
+    return _node("relu", np.maximum(a.data, 0.0), (a,),
+                 lambda g: _add_grad(a, g * (a.data > 0.0)))
 
 
 def _keep_mask(shape, rate: float, rng: Rng | None):
@@ -419,17 +379,13 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
     offset 1e-5), then scaled by ``gain`` and shifted by ``bias``.
     """
     value, state = _add_norm_forward(x.data, y.data, gain.data, bias.data, rate, rng)
-    tape = _recording(x, y, gain, bias)
-    out = _result(value, tape)
-    if tape is not None:
 
-        def bw(g):
-            gx, gy = _add_norm_backward(g, state, gain, bias)
-            _add_grad(x, gx)
-            _add_grad(y, gy)
+    def bw(g):
+        gx, gy = _add_norm_backward(g, state, gain, bias)
+        _add_grad(x, gx)
+        _add_grad(y, gy)
 
-        tape.record(out, bw, "add_norm")
-    return out
+    return _node("add_norm", value, (x, y, gain, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +399,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner extents disagree: {a.data.shape} @ {b.data.shape}"
         )
-    tape = _recording(a, b)
-    out = _result(np.matmul(a.data, b.data), tape)
-    if tape is not None:
 
-        def bw(g):
-            _add_grad(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-            _add_grad(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+    def bw(g):
+        _add_grad(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        _add_grad(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-        tape.record(out, bw, "matmul")
-    return out
+    return _node("matmul", np.matmul(a.data, b.data), (a, b), bw)
 
 
 def _linear_forward(x, w, b):
@@ -476,11 +428,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``x @ w + b`` with a single-GEMM weight gradient."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear width mismatch: {x.data.shape} @ {w.data.shape}")
-    tape = _recording(x, w, b)
-    out = _result(_linear_forward(x.data, w.data, b.data), tape)
-    if tape is not None:
-        tape.record(out, lambda g: _add_grad(x, _linear_backward(g, x.data, w, b)), "linear")
-    return out
+    return _node("linear", _linear_forward(x.data, w.data, b.data), (x, w, b),
+                 lambda g: _add_grad(x, _linear_backward(g, x.data, w, b)))
 
 
 def _ffn_forward(x, f1, f2, rate: float, rng: Rng | None) -> tuple:
@@ -509,12 +458,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate
         raise ShapeError(f"feed-forward widths disagree: {x.shape}, {w1.shape}, {w2.shape}")
     f1, f2 = (w1, b1), (w2, b2)
     y, r, scale = _ffn_forward(x.data, f1, f2, rate, rng)
-    tape = _recording(x, w1, b1, w2, b2)
-    out = _result(y, tape)
-    if tape is not None:
-        tape.record(out, lambda g: _add_grad(x, _ffn_backward(g, x.data, r, scale, f1, f2)),
-                    "feed_forward")
-    return out
+    return _node("feed_forward", y, (x, w1, b1, w2, b2),
+                 lambda g: _add_grad(x, _ffn_backward(g, x.data, r, scale, f1, f2)))
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -628,20 +573,16 @@ def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
             f"attention needs token-major [batch, tokens, width] q/k/v whose widths "
             f"split into {n_heads} heads, got {qs}, {ks}, {vs}"
         )
-    tape = _recording(q, k, v)
     y, p, state = _attention_forward(q.data, k.data, v.data, n_heads, rate, rng, blocks,
-                                     tape is not None)
-    out = _result(y, tape)
-    if tape is not None:
+                                     _recording(q, k, v) is not None)
 
-        def bw(g):
-            gk, gv = np.zeros(ks), np.zeros(vs)
-            gq = _attention_backward(g, state, n_heads, rate, gk, gv)
-            for t, gt in zip((q, k, v), (gq, gk, gv)):
-                _hand_over(t, gt)
+    def bw(g):
+        gk, gv = np.zeros(ks), np.zeros(vs)
+        gq = _attention_backward(g, state, n_heads, rate, gk, gv)
+        for t, gt in zip((q, k, v), (gq, gk, gv)):
+            _hand_over(t, gt)
 
-        tape.record(out, bw, name)
-    return out, p
+    return _node(name, y, (q, k, v), bw), p
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float,
@@ -735,6 +676,7 @@ def causal_conv_block(x: Tensor, skip: Tensor, kernel: Tensor, bias: Tensor, dil
         raise ShapeError(f"conv block shapes disagree: input {x.data.shape}, skip "
                          f"{skip.data.shape}, kernel {kernel.data.shape}")
     T = x.data.shape[-2]
+    inputs = (x, skip, kernel, bias)
     y = np.zeros(skip.data.shape, dtype=np.float64)
     for j in range(kk):
         off = j * dilation
@@ -743,34 +685,30 @@ def causal_conv_block(x: Tensor, skip: Tensor, kernel: Tensor, bias: Tensor, dil
         y[..., off:, :] += np.matmul(x.data[..., : T - off, :], kernel.data[j])
     y += bias.data
     scale = _relu_dropout(y, rate, rng)
-    tape = _recording(x, skip, kernel, bias)
-    out = _result(skip.data + y, tape)
-    if tape is not None:
-        mask = y > 0.0
+    mask = y > 0.0 if _recording(*inputs) is not None else None
 
-        def bw(g):
-            _add_grad(skip, g)
-            gy = g * mask
-            gy *= scale
-            if x.requires_grad and x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            gk = np.zeros_like(kernel.data) if kernel.requires_grad else None
-            for j in range(kk):
-                off = j * dilation
-                if off >= T:
-                    break
-                gpart = gy[..., off:, :]
-                if x.requires_grad:
-                    x.grad[..., : T - off, :] += np.matmul(gpart, kernel.data[j].T)
-                if gk is not None:
-                    xs = x.data[..., : T - off, :]
-                    gk[j] = np.matmul(xs.reshape(-1, c_in).T, gpart.reshape(-1, c_out))
+    def bw(g):
+        _add_grad(skip, g)
+        gy = g * mask
+        gy *= scale
+        if x.requires_grad and x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        gk = np.zeros_like(kernel.data) if kernel.requires_grad else None
+        for j in range(kk):
+            off = j * dilation
+            if off >= T:
+                break
+            gpart = gy[..., off:, :]
+            if x.requires_grad:
+                x.grad[..., : T - off, :] += np.matmul(gpart, kernel.data[j].T)
             if gk is not None:
-                _add_grad(kernel, gk)
-            _add_grad(bias, gy.reshape(-1, c_out).sum(axis=0))
+                xs = x.data[..., : T - off, :]
+                gk[j] = np.matmul(xs.reshape(-1, c_in).T, gpart.reshape(-1, c_out))
+        if gk is not None:
+            _add_grad(kernel, gk)
+        _add_grad(bias, gy.reshape(-1, c_out).sum(axis=0))
 
-        tape.record(out, bw, "causal_conv_block")
-    return out
+    return _node("causal_conv_block", skip.data + y, inputs, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -778,45 +716,32 @@ def causal_conv_block(x: Tensor, skip: Tensor, kernel: Tensor, bias: Tensor, dil
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    tape = _recording(a)
-    out = _result(a.data.reshape(shape), tape)
-    if tape is not None:
-        orig = a.data.shape
-        tape.record(out, lambda g: _add_grad(a, g.reshape(orig)), "reshape")
-    return out
+    return _node("reshape", a.data.reshape(shape), (a,),
+                 lambda g: _add_grad(a, g.reshape(a.data.shape)))
 
 
 def getitem(a: Tensor, idx) -> Tensor:
     """Basic (view) indexing; backward scatter-adds into the parent's grad."""
-    tape = _recording(a)
-    out = _result(a.data[idx], tape)
-    if tape is not None:
 
-        def bw(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+    def bw(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[idx] += g
 
-        tape.record(out, bw, "getitem")
-    return out
+    return _node("getitem", a.data[idx], (a,), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tape = _recording(*tensors)
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tape)
-    if tape is not None:
-        sizes = [t.data.shape[axis] for t in tensors]
+    def bw(g):
+        start = 0
+        sl = [slice(None)] * g.ndim
+        for t in tensors:
+            size = t.data.shape[axis]
+            sl[axis] = slice(start, start + size)
+            _add_grad(t, g[tuple(sl)])
+            start += size
 
-        def bw(g):
-            start = 0
-            sl = [slice(None)] * g.ndim
-            for t, size in zip(tensors, sizes):
-                sl[axis] = slice(start, start + size)
-                _add_grad(t, g[tuple(sl)])
-                start += size
-
-        tape.record(out, bw, "concat")
-    return out
+    return _node("concat", np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +796,8 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
         return _add_norm_forward(x, y, gb[0].data, gb[1].data, rate, rng)
 
     weights = [t for layer in layers for pair in layer for t in pair]
-    tape = _recording(x0, positions, *(t for kv in cross for t in kv), *weights)
+    inputs = (x0, positions, *(t for kv in cross for t in kv), *weights)
+    save = _recording(*inputs) is not None
     hist = [(np.empty((b, n_steps, d)), np.empty((b, n_steps, d))) for _ in layers]
     outputs = np.empty((b, n_steps, d))
     importance = np.zeros((b, n_mod))
@@ -886,80 +812,76 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
             kh[:, t] = lin(h, sk)[:, 0]
             vh[:, t] = lin(h, sv)[:, 0]
             a, _, att_self = _attention_forward(
-                lin(h, sq), kh[:, : t + 1], vh[:, : t + 1], n_heads, rate, rng, whole,
-                tape is not None,
+                lin(h, sq), kh[:, : t + 1], vh[:, : t + 1], n_heads, rate, rng, whole, save
             )
             h1, norm1 = norm(h, lin(a, so), n1)
             c, probs, att_cross = _attention_forward(
-                lin(h1, cq), kc.data[:, now], vc.data[:, now], n_heads, rate, rng, whole,
-                tape is not None,
+                lin(h1, cq), kc.data[:, now], vc.data[:, now], n_heads, rate, rng, whole, save
             )
             importance += probs.mean(axis=(1, 2))
             h2, norm2 = norm(h1, lin(c, co), n2)
             ff, r, scale = _ffn_forward(h2, f1, f2, rate, rng)
             y, norm3 = norm(h2, ff, n3)
-            if tape is not None:
+            if save:
                 saved.append((h, att_self, a, norm1, h1, att_cross, c, norm2, h2, r, scale, norm3))
             h = y
         outputs[:, t] = h[:, 0]
         if t + 1 < n_steps:
             x = h + positions.data[t + 1 : t + 2]
     importance /= n_steps * len(layers)
-    out = _result(outputs, tape)
-    if tape is not None:
-        def bw(g):
-            ghist = [(np.zeros((b, n_steps, d)), np.zeros((b, n_steps, d))) for _ in layers]
-            gcross = [(np.zeros(kc.data.shape), np.zeros(vc.data.shape)) for kc, vc in cross]
-            states = iter(reversed(saved))
-            g_next = None  # gradient of the next step's input
-            for t in reversed(range(n_steps)):
-                now = slice(t * n_mod, (t + 1) * n_mod)
-                gh = g[:, t : t + 1]
-                if g_next is not None:
-                    gh = gh + g_next
-                for l, (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3) in reversed(
-                    list(enumerate(layers))
-                ):
-                    h, att_self, a, norm1, h1, att_cross, c, norm2, h2, r, scale, norm3 = (
-                        next(states)
-                    )
-                    gk, gv = ghist[l]
-                    gkc, gvc = gcross[l]
-                    gh2, gf = _add_norm_backward(gh, norm3, *n3)
-                    gh2 = gh2 + _ffn_backward(gf, h2, r, scale, f1, f2)
-                    gh1, gc = _add_norm_backward(gh2, norm2, *n2)
-                    gq = _attention_backward(
-                        _linear_backward(gc, c, *co), att_cross, n_heads, rate,
-                        gkc[:, now], gvc[:, now],
-                    )
-                    gh1 = gh1 + _linear_backward(gq, h1, *cq)
-                    gx, ga = _add_norm_backward(gh1, norm1, *n1)
-                    gq = _attention_backward(
-                        _linear_backward(ga, a, *so), att_self, n_heads, rate,
-                        gk[:, : t + 1], gv[:, : t + 1],
-                    )
-                    gx = gx + _linear_backward(gq, h, *sq)
-                    # Steps t..T-1 have all read row t of the history by now.
-                    gx += _linear_backward(gv[:, t : t + 1], h, *sv)
-                    gx += _linear_backward(gk[:, t : t + 1], h, *sk)
-                    if not np.isfinite(gx).all():
-                        raise NumericError(
-                            f"non-finite gradient flowing out of op 'decoder' at step {t}, "
-                            f"layer {l}"
-                        )
-                    gh = gx
-                if t and positions.requires_grad:
-                    if positions.grad is None:
-                        positions.grad = np.zeros_like(positions.data)
-                    positions.grad[t : t + 1] += gh.sum(axis=(0,))
-                g_next = gh
-            _hand_over(x0, g_next)
-            for (kc, vc), (gkc, gvc) in zip(cross, gcross):
-                _hand_over(kc, gkc)
-                _hand_over(vc, gvc)
 
-        tape.record(out, bw, "decoder")
-    return out, importance
+    def bw(g):
+        ghist = [(np.zeros((b, n_steps, d)), np.zeros((b, n_steps, d))) for _ in layers]
+        gcross = [(np.zeros(kc.data.shape), np.zeros(vc.data.shape)) for kc, vc in cross]
+        states = iter(reversed(saved))
+        g_next = None  # gradient of the next step's input
+        for t in reversed(range(n_steps)):
+            now = slice(t * n_mod, (t + 1) * n_mod)
+            gh = g[:, t : t + 1]
+            if g_next is not None:
+                gh = gh + g_next
+            for l, (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3) in reversed(
+                list(enumerate(layers))
+            ):
+                h, att_self, a, norm1, h1, att_cross, c, norm2, h2, r, scale, norm3 = (
+                    next(states)
+                )
+                gk, gv = ghist[l]
+                gkc, gvc = gcross[l]
+                gh2, gf = _add_norm_backward(gh, norm3, *n3)
+                gh2 = gh2 + _ffn_backward(gf, h2, r, scale, f1, f2)
+                gh1, gc = _add_norm_backward(gh2, norm2, *n2)
+                gq = _attention_backward(
+                    _linear_backward(gc, c, *co), att_cross, n_heads, rate,
+                    gkc[:, now], gvc[:, now],
+                )
+                gh1 = gh1 + _linear_backward(gq, h1, *cq)
+                gx, ga = _add_norm_backward(gh1, norm1, *n1)
+                gq = _attention_backward(
+                    _linear_backward(ga, a, *so), att_self, n_heads, rate,
+                    gk[:, : t + 1], gv[:, : t + 1],
+                )
+                gx = gx + _linear_backward(gq, h, *sq)
+                # Steps t..T-1 have all read row t of the history by now.
+                gx += _linear_backward(gv[:, t : t + 1], h, *sv)
+                gx += _linear_backward(gk[:, t : t + 1], h, *sk)
+                if not np.isfinite(gx).all():
+                    raise NumericError(
+                        f"non-finite gradient flowing out of op 'decoder' at step {t}, "
+                        f"layer {l}"
+                    )
+                gh = gx
+            if t and positions.requires_grad:
+                if positions.grad is None:
+                    positions.grad = np.zeros_like(positions.data)
+                positions.grad[t : t + 1] += gh.sum(axis=(0,))
+            g_next = gh
+        _hand_over(x0, g_next)
+        for (kc, vc), (gkc, gvc) in zip(cross, gcross):
+            _hand_over(kc, gkc)
+            _hand_over(vc, gvc)
+
+    return _node("decoder", outputs, inputs, bw), importance
 
 
 # ---------------------------------------------------------------------------

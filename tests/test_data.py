@@ -324,6 +324,14 @@ class TestCollate:
         with pytest.raises(ContractError):
             collate([], ("audio",))
 
+    def test_lengths_checked_without_present_modalities(self):
+        data = synth_generate(small_synth(), seed=15)
+        segs = [segment_samples(data["train"], n, n)[0] for n in (20, 10)]
+        for seg in segs:
+            seg.features = dict.fromkeys(seg.features)
+        with pytest.raises(ContractError, match="segment lengths disagree"):
+            collate(segs, ("audio", "video", "text"))
+
 
 class TestEliminationPolicy:
     def test_validation(self):

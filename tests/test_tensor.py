@@ -1,5 +1,8 @@
 """Tests for the autodiff core: op semantics, gradients, determinism."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from emoreg.tensor import (
 )
 
 FD_TOL = 1e-5
+SRC = Path(__file__).resolve().parents[1] / "src" / "emoreg"
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -425,6 +429,18 @@ class TestTape:
         y = tz.tsum(x * x)
         assert len(tape) == 0
         assert y.requires_grad is False
+
+    def test_only_node_records(self):
+        # Every op records through tensor._node; a second recording path
+        # would bypass what _node does for every node.
+        def record_calls(tree):
+            return sum(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                       and c.func.attr == "record" for c in ast.walk(tree))
+
+        total = sum(record_calls(ast.parse(path.read_text())) for path in SRC.glob("*.py"))
+        in_node = sum(record_calls(fn) for fn in ast.parse((SRC / "tensor.py").read_text()).body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "_node")
+        assert (total, in_node) == (1, 1)
 
     def test_repeated_backward_accumulates_on_leaves(self):
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
