@@ -33,12 +33,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .configio import load_config_file, parse_int_list, read_config
+from .configio import load_config_file, parse_int_list, parse_name_list, read_config
 from .data import SynthConfig, load_dataset, synth_generate, write_dataset
 from .errors import ConfigError, DataLoadError, EmoregError
 from .model import (
     EmotionRegressor,
     ModelConfig,
+    is_finite_real,
     load_checkpoint,
     load_model_state,
     save_checkpoint,
@@ -99,12 +100,24 @@ def _load_raw_config(path) -> dict:
     return load_config_file(path) if path else {}
 
 
+def _output_file(out):
+    """Check ``out`` can take an output file before any work is done: an
+    existing directory there is a ``ConfigError``; a missing parent
+    directory is created."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise ConfigError(f"output file {out} is an existing directory")
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory of output file {out}: {exc}") from None
+
+
 def _modalities_arg(value, known):
     if value is None:
         return None
-    names = tuple(v.strip() for v in value.split(","))
-    if not all(names):
-        raise ConfigError(f"--modalities: bad list {value!r}")
+    names = parse_name_list("--modalities", value)
     unknown = [m for m in names if m not in known]
     if unknown:
         raise ConfigError(
@@ -122,11 +135,15 @@ def _load_trained(path):
         raise DataLoadError(f"checkpoint {path}: bad model config: {exc!r}") from None
     for m in model_cfg.modalities:
         width = model_cfg.modality_widths[m]
-        for stat in (f"{m}.mean", f"{m}.std"):
-            if np.shape(norm_stats.get(stat)) != (width,):
+        for stat, positive in ((f"{m}.mean", False), (f"{m}.std", True)):
+            value = norm_stats.get(stat)
+            if np.shape(value) != (width,):
                 raise DataLoadError(
                     f"checkpoint {path}: norm stats {stat!r} missing or not of shape ({width},)"
                 )
+            if not is_finite_real(value) or (positive and (value <= 0).any()):
+                raise DataLoadError(f"checkpoint {path}: norm stats {stat!r} must be finite"
+                                    f"{' and > 0' if positive else ''}")
     model = EmotionRegressor(model_cfg, Rng(0))
     load_model_state(model, params)
     return model, config, norm_stats
@@ -195,6 +212,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _output_file(args.out)
     model, _, norm_stats = _load_trained(args.model)
     samples = load_dataset(args.data, args.split, model.config.modalities)
     keep = _modalities_arg(args.modalities, model.config.modalities)
@@ -216,6 +234,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _output_file(args.out)
     model, _, norm_stats = _load_trained(args.model)
     samples = load_dataset(args.data, args.split, model.config.modalities)
     report = ablation_study(model, samples, norm_stats)
@@ -271,6 +290,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    _output_file(args.out)
     model, _, norm_stats = _load_trained(args.model)
     samples = load_dataset(args.data, args.split, model.config.modalities)
     sample = _find_sample(samples, args.sample)
@@ -279,8 +299,6 @@ def cmd_trace(args) -> int:
     pred = result.predictions[sample.sample_id]
     c = ccc(pred, sample.labels)
     r = rmse(pred, sample.labels)
-    parent = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(parent, exist_ok=True)
     with open(args.out, "w") as fh:
         fh.write("t,predicted,truth\n")
         for t, p, y in zip(sample.timestamps, pred, sample.labels):

@@ -78,7 +78,7 @@ def _as_float(key: str, value: str) -> float:
     return number
 
 
-def _as_name_list(key: str, value: str) -> tuple:
+def parse_name_list(key: str, value: str) -> tuple:
     names = tuple(v.strip() for v in value.split(","))
     if not all(names):
         raise ConfigError(f"{key}: expected comma-separated names, got {value!r}")
@@ -90,7 +90,7 @@ def parse_int_list(key: str, value: str) -> list:
 
 
 # Keyed by annotation text: the config modules postpone annotation evaluation.
-_PARSERS = {"int": _as_int, "float": _as_float, "tuple": _as_name_list, "list": parse_int_list}
+_PARSERS = {"int": _as_int, "float": _as_float, "tuple": parse_name_list, "list": parse_int_list}
 
 # Per class: its section prefix and its per-name tables (key prefix ->
 # (dict field, value parser)).  A table's names come from the ``modalities``

@@ -152,9 +152,8 @@ class MultiHeadAttention(Module):
     splits heads inside its one node and confines each token of a time-major
     sequence to steps within ``mask_length`` of its own.  ``__call__``
     projects keys and values and attends; ``project_kv`` and ``attend`` are
-    its two halves.  The decoder's attention weights live here too, but its
-    loop runs in ``tz.decoder``, which projects the cross-attention keys and
-    values once per decode with ``project_kv``.
+    its two halves.  A ``DecoderLayer`` holds two of these only for their
+    weights: ``tz.decoder`` runs the decoder's attention itself.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: Rng, dropout: float = 0.0):
@@ -225,9 +224,8 @@ class DecoderLayer(Module):
     decoded past, cross-attention over the current step's per-modality
     encoder outputs, then feed-forward, each closed by an ``AddNorm``.
 
-    The decode loop runs in ``tz.decoder``, which reads them through
-    ``weights``; the cross-attention keys and values are projected once per
-    decode with ``cross_attn.project_kv``.
+    The decode loop, cross-attention key and value projections included,
+    runs in ``tz.decoder``, which reads them by name through ``weights``.
     """
 
     def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng):
@@ -238,12 +236,13 @@ class DecoderLayer(Module):
         self.norm2 = AddNorm(d_model)
         self.norm3 = AddNorm(d_model)
 
-    def weights(self) -> tuple:
-        """(w, b) and (gain, bias) pairs in the order ``tz.decoder`` reads them."""
+    def weights(self) -> tz.DecoderWeights:
+        """This layer's (w, b) and (gain, bias) pairs as a ``tz.DecoderWeights``."""
         sa, ca, ffn = self.self_attn, self.cross_attn, self.ffn
-        linears = (sa.wq, sa.wk, sa.wv, sa.wo, ca.wq, ca.wo, ffn.w1, ffn.w2)
+        linears = (sa.wq, sa.wk, sa.wv, sa.wo, ca.wq, ca.wk, ca.wv, ca.wo, ffn.w1, ffn.w2)
         norms = (self.norm1, self.norm2, self.norm3)
-        return tuple((m.w, m.b) for m in linears) + tuple((n.gain, n.bias) for n in norms)
+        return tz.DecoderWeights(*((m.w, m.b) for m in linears),
+                                 *((n.gain, n.bias) for n in norms))
 
 
 class RegressionHead(Module):

@@ -17,13 +17,13 @@ step's per-modality encoder outputs, and a feed-forward block; a small
 regression head maps the top-layer feature to the predicted value.  Decoding
 is free-running: gradients flow through the whole unrolled sequence.
 
-``decode`` projects each layer's cross-attention keys and values once, then
-runs the whole step loop as one ``tensor.decoder`` node, which keeps the
-self-attention keys and values in per-layer buffers and differentiates the
-loop by hand, walking time in reverse.  Rows of a batch are decoded
-independently, so encodings of different modality patterns with the same
-modality count can share one decode loop; importance is therefore reported
-per row.
+``decode`` is one ``tensor.decoder`` node and the head: the node checks the
+encodings, projects each layer's cross-attention keys and values once,
+keeps the self-attention keys and values in per-layer buffers and
+differentiates the whole step loop by hand, walking time in reverse.  Rows
+of a batch are decoded independently, so encodings of different modality
+patterns with the same modality count can share one decode loop; importance
+is therefore reported per row.
 
 ``encode``, ``decode`` and ``forward`` draw dropout exactly when they are
 passed an ``Rng``: training passes one, evaluation does not.
@@ -207,26 +207,11 @@ class EmotionRegressor(Module):
         receives, averaged over steps, heads, and decoder layers.
         """
         c = self.config
-        shape = encoded.data.shape
-        if len(shape) != 4 or shape[-1] != c.d_model or 0 in shape:
-            raise ShapeError(
-                f"decode needs non-empty [batch, steps, n_mod, {c.d_model}] encodings, "
-                f"got {shape}"
-            )
-        b, n_steps, n_mod, d = shape
-        # Cross-attention K/V for all steps, projected once per layer from the
-        # step-major flattening: the M tokens of step t sit at [t*M, (t+1)*M).
-        cross = [
-            layer.cross_attn.project_kv(tz.reshape(encoded, (b, n_steps * n_mod, d)))
-            for layer in self.decoder
-        ]
-        x0 = Tensor(np.zeros((b, 1, d))) + self.start_vector + self.dec_positions.rows(0, 1)
         feats, importance = tz.decoder(
-            x0, self.dec_positions.table, [layer.weights() for layer in self.decoder], cross,
-            n_mod, c.dec_heads, c.dropout, rng,
+            self.start_vector, self.dec_positions.table, encoded,
+            [layer.weights() for layer in self.decoder], c.dec_heads, c.dropout, rng,
         )
-        preds = tz.reshape(self.head(feats), (b, n_steps))
-        return preds, importance
+        return tz.reshape(self.head(feats), encoded.data.shape[:2]), importance
 
     # ------------------------------------------------------------------
 
@@ -295,8 +280,14 @@ def load_checkpoint(path) -> tuple:
     return config, params, norm_stats
 
 
+def is_finite_real(arr: np.ndarray) -> bool:
+    """True when ``arr`` holds integers or floats, all of them finite."""
+    return arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
+
+
 def load_model_state(model: EmotionRegressor, params: dict):
-    """Copy named arrays into the model, demanding an exact name/shape match."""
+    """Copy named arrays into the model, demanding an exact name/shape match
+    and finite real values."""
     own = model.parameters()
     missing = set(own) - set(params)
     extra = set(params) - set(own)
@@ -305,10 +296,13 @@ def load_model_state(model: EmotionRegressor, params: dict):
             f"checkpoint mismatch: missing {sorted(missing)[:5]}, extra {sorted(extra)[:5]}"
         )
     for name, tensor in own.items():
-        arr = np.asarray(params[name], dtype=np.float64)
+        arr = np.asarray(params[name])
+        if not is_finite_real(arr):
+            raise ContractError(f"checkpoint parameter {name} is not all finite numbers "
+                                f"(dtype {arr.dtype})")
         if arr.shape != tensor.data.shape:
             raise ContractError(
                 f"checkpoint shape mismatch for {name}: "
                 f"{arr.shape} vs {tensor.data.shape}"
             )
-        tensor.data = arr.copy()
+        tensor.data = arr.astype(np.float64)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -747,24 +748,27 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 # Autoregressive decoder
 
+# One decoder layer's (w, b) and (gain, bias) pairs, which ``decoder`` reads by name.
+DecoderWeights = namedtuple("DecoderWeights", "self_q self_k self_v self_o cross_q cross_k "
+                                              "cross_v cross_o ffn1 ffn2 norm1 norm2 norm3")
 
-def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: int,
+
+def decoder(start: Tensor, positions: Tensor, encoded: Tensor, layers, n_heads: int,
             rate: float, rng: Rng | None) -> tuple:
     """Free-running post-norm transformer decoder, the whole loop as one node.
 
-    ``x0`` [batch, 1, width] is the input of step 0; the input of step t > 0
-    is the previous step's top-layer output plus row t of ``positions``.
-    ``cross`` holds each layer's cross-attention (keys, values), [batch,
-    steps * n_mod, width] with step t's tokens at [t*n_mod, (t+1)*n_mod).
-    ``layers`` holds each layer's weights as (w, b) and (gain, bias) pairs:
-    self-attention q, k, v, o; cross-attention q, o; FFN 1, 2; norms 1, 2, 3.
+    ``encoded`` [batch, steps, n_mod, width] holds the n_mod tokens that step
+    t cross-attends to.  Step t's input is row t of ``positions`` plus
+    ``start`` [width] at t = 0 and the previous step's top-layer output
+    after.  ``layers`` holds one ``DecoderWeights`` per layer.
 
-    At each step each layer runs self-attention over its own inputs so far,
-    ``add_norm``, cross-attention over the step's n_mod tokens, ``add_norm``,
-    the FFN (linear, relu, dropout, linear) and ``add_norm``, on the array
+    Cross-attention keys and values are projected once per decode, those of
+    self-attention once per step into [batch, steps, width] buffers.  At each
+    step each layer runs self-attention over its own inputs so far,
+    ``add_norm``, cross-attention over the step's tokens, ``add_norm``, the
+    FFN (linear, relu, dropout, linear) and ``add_norm``, on the array
     kernels of ``linear``, ``attention``, ``feed_forward`` and ``add_norm``.
-    Self-attention keys and values are projected once per step into [batch,
-    steps, width] buffers.  Dropout is drawn exactly when ``rng`` is given.
+    Dropout is drawn exactly when ``rng`` is given.
 
     Returns (outputs [batch, steps, width], importance [batch, n_mod]); a
     row's importance is the mean cross-attention weight each of the n_mod
@@ -773,20 +777,17 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
     reverse; without one nothing outlives its step but the key/value
     buffers, so memory grows linearly in steps.
     """
-    b, one, d = x0.data.shape
-    n_steps = cross[0][0].data.shape[1] // n_mod if cross and n_mod > 0 else 0
+    shape, pos = encoded.data.shape, positions.data.shape
     if (
-        one != 1 or not layers or len(layers) != len(cross) or n_steps < 1
-        or n_heads < 1 or d % n_heads
-        or any(t.data.shape != (b, n_steps * n_mod, d) for kv in cross for t in kv)
+        len(shape) != 4 or 0 in shape or start.data.shape != shape[-1:] or not layers
+        or n_heads < 1 or shape[-1] % n_heads or pos[1:] != shape[-1:] or pos[0] < shape[1]
     ):
         raise ShapeError(
-            f"decoder needs a [batch, 1, width] start with width divisible by {n_heads} "
-            f"heads and per-layer [batch, steps * {n_mod}, width] cross keys and values, "
-            f"got {x0.data.shape} and {[t.data.shape for kv in cross for t in kv]}"
+            f"decoder needs non-empty [batch, steps, n_mod, width] encodings, a [width] "
+            f"start, [>= steps, width] positions and {n_heads} heads that split the width, "
+            f"got {shape}, {start.data.shape} and {pos}"
         )
-    if positions.data.shape[0] < n_steps:
-        raise ShapeError(f"{n_steps} steps exceed the {positions.data.shape[0]} positions")
+    b, n_steps, n_mod, d = shape
     whole = [(slice(None), slice(None), None)]
 
     def lin(x, wb):
@@ -796,32 +797,33 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
         return _add_norm_forward(x, y, gb[0].data, gb[1].data, rate, rng)
 
     weights = [t for layer in layers for pair in layer for t in pair]
-    inputs = (x0, positions, *(t for kv in cross for t in kv), *weights)
+    inputs = (start, positions, encoded, *weights)
     save = _recording(*inputs) is not None
+    # Step-major flattening: the n_mod tokens of step t sit at [t*n_mod, (t+1)*n_mod).
+    flat = encoded.data.reshape(b, n_steps * n_mod, d)
+    cross = [(lin(flat, w.cross_k), lin(flat, w.cross_v)) for w in layers]
     hist = [(np.empty((b, n_steps, d)), np.empty((b, n_steps, d))) for _ in layers]
     outputs = np.empty((b, n_steps, d))
     importance = np.zeros((b, n_mod))
     saved = []
-    x = x0.data
+    x = np.zeros((b, 1, d)) + start.data + positions.data[:1]
     for t in range(n_steps):
         now = slice(t * n_mod, (t + 1) * n_mod)
         h = x
-        for (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3), (kh, vh), (kc, vc) in zip(
-            layers, hist, cross
-        ):
-            kh[:, t] = lin(h, sk)[:, 0]
-            vh[:, t] = lin(h, sv)[:, 0]
+        for w, (kh, vh), (kc, vc) in zip(layers, hist, cross):
+            kh[:, t] = lin(h, w.self_k)[:, 0]
+            vh[:, t] = lin(h, w.self_v)[:, 0]
             a, _, att_self = _attention_forward(
-                lin(h, sq), kh[:, : t + 1], vh[:, : t + 1], n_heads, rate, rng, whole, save
+                lin(h, w.self_q), kh[:, : t + 1], vh[:, : t + 1], n_heads, rate, rng, whole, save
             )
-            h1, norm1 = norm(h, lin(a, so), n1)
+            h1, norm1 = norm(h, lin(a, w.self_o), w.norm1)
             c, probs, att_cross = _attention_forward(
-                lin(h1, cq), kc.data[:, now], vc.data[:, now], n_heads, rate, rng, whole, save
+                lin(h1, w.cross_q), kc[:, now], vc[:, now], n_heads, rate, rng, whole, save
             )
             importance += probs.mean(axis=(1, 2))
-            h2, norm2 = norm(h1, lin(c, co), n2)
-            ff, r, scale = _ffn_forward(h2, f1, f2, rate, rng)
-            y, norm3 = norm(h2, ff, n3)
+            h2, norm2 = norm(h1, lin(c, w.cross_o), w.norm2)
+            ff, r, scale = _ffn_forward(h2, w.ffn1, w.ffn2, rate, rng)
+            y, norm3 = norm(h2, ff, w.norm3)
             if save:
                 saved.append((h, att_self, a, norm1, h1, att_cross, c, norm2, h2, r, scale, norm3))
             h = y
@@ -832,54 +834,52 @@ def decoder(x0: Tensor, positions: Tensor, layers, cross, n_mod: int, n_heads: i
 
     def bw(g):
         ghist = [(np.zeros((b, n_steps, d)), np.zeros((b, n_steps, d))) for _ in layers]
-        gcross = [(np.zeros(kc.data.shape), np.zeros(vc.data.shape)) for kc, vc in cross]
+        gcross = [(np.zeros(flat.shape), np.zeros(flat.shape)) for _ in layers]
         states = iter(reversed(saved))
-        g_next = None  # gradient of the next step's input
+        gh = None  # gradient of the input of the step after t
         for t in reversed(range(n_steps)):
             now = slice(t * n_mod, (t + 1) * n_mod)
-            gh = g[:, t : t + 1]
-            if g_next is not None:
-                gh = gh + g_next
-            for l, (sq, sk, sv, so, cq, co, f1, f2, n1, n2, n3) in reversed(
-                list(enumerate(layers))
-            ):
+            gh = g[:, t : t + 1] if gh is None else g[:, t : t + 1] + gh
+            for l, w in reversed(list(enumerate(layers))):
                 h, att_self, a, norm1, h1, att_cross, c, norm2, h2, r, scale, norm3 = (
                     next(states)
                 )
                 gk, gv = ghist[l]
                 gkc, gvc = gcross[l]
-                gh2, gf = _add_norm_backward(gh, norm3, *n3)
-                gh2 = gh2 + _ffn_backward(gf, h2, r, scale, f1, f2)
-                gh1, gc = _add_norm_backward(gh2, norm2, *n2)
+                gh2, gf = _add_norm_backward(gh, norm3, *w.norm3)
+                gh2 = gh2 + _ffn_backward(gf, h2, r, scale, w.ffn1, w.ffn2)
+                gh1, gc = _add_norm_backward(gh2, norm2, *w.norm2)
                 gq = _attention_backward(
-                    _linear_backward(gc, c, *co), att_cross, n_heads, rate,
+                    _linear_backward(gc, c, *w.cross_o), att_cross, n_heads, rate,
                     gkc[:, now], gvc[:, now],
                 )
-                gh1 = gh1 + _linear_backward(gq, h1, *cq)
-                gx, ga = _add_norm_backward(gh1, norm1, *n1)
+                gh1 = gh1 + _linear_backward(gq, h1, *w.cross_q)
+                gx, ga = _add_norm_backward(gh1, norm1, *w.norm1)
                 gq = _attention_backward(
-                    _linear_backward(ga, a, *so), att_self, n_heads, rate,
+                    _linear_backward(ga, a, *w.self_o), att_self, n_heads, rate,
                     gk[:, : t + 1], gv[:, : t + 1],
                 )
-                gx = gx + _linear_backward(gq, h, *sq)
+                gx = gx + _linear_backward(gq, h, *w.self_q)
                 # Steps t..T-1 have all read row t of the history by now.
-                gx += _linear_backward(gv[:, t : t + 1], h, *sv)
-                gx += _linear_backward(gk[:, t : t + 1], h, *sk)
+                gx += _linear_backward(gv[:, t : t + 1], h, *w.self_v)
+                gx += _linear_backward(gk[:, t : t + 1], h, *w.self_k)
                 if not np.isfinite(gx).all():
                     raise NumericError(
                         f"non-finite gradient flowing out of op 'decoder' at step {t}, "
                         f"layer {l}"
                     )
                 gh = gx
-            if t and positions.requires_grad:
+            if positions.requires_grad:
                 if positions.grad is None:
                     positions.grad = np.zeros_like(positions.data)
                 positions.grad[t : t + 1] += gh.sum(axis=(0,))
-            g_next = gh
-        _hand_over(x0, g_next)
-        for (kc, vc), (gkc, gvc) in zip(cross, gcross):
-            _hand_over(kc, gkc)
-            _hand_over(vc, gvc)
+        _add_grad(start, gh)
+        # Layers last to first, values before keys, one sum per layer: the
+        # order of separate per-layer reshape and projection nodes.
+        for w, (gkc, gvc) in zip(reversed(layers), reversed(gcross)):
+            ge = _linear_backward(gvc, flat, *w.cross_v)
+            ge += _linear_backward(gkc, flat, *w.cross_k)
+            _add_grad(encoded, ge.reshape(shape))
 
     return _node("decoder", outputs, inputs, bw), importance
 

@@ -196,6 +196,19 @@ def _restrict(features: dict, keep) -> dict:
     return {m: (x if m in keep else None) for m, x in features.items()}
 
 
+def _check_widths(samples, config: ModelConfig):
+    """Raise ``ShapeError`` naming the first sample and modality whose stream
+    has another feature width than ``config`` gives it."""
+    for s in samples:
+        for m in config.modalities:
+            x = s.features.get(m)
+            if x is not None and x.shape[1] != config.modality_widths[m]:
+                raise ShapeError(
+                    f"sample {s.sample_id}: modality {m!r} has {x.shape[1]} "
+                    f"features, model expects {config.modality_widths[m]}"
+                )
+
+
 def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets) -> list:
     """One ``EvalResult`` per entry of ``subsets`` (``use_modalities`` values).
 
@@ -206,6 +219,7 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
     if not samples:
         raise InsufficientDataError("evaluate called with no samples")
     mods = model.config.modalities
+    _check_widths(samples, model.config)
     ordered = sorted(samples, key=lambda s: s.sample_id)
     normed = [normalize_features(s.features, norm_stats) for s in ordered]
     jobs = [(s, _restrict(f, keep)) for keep in subsets for s, f in zip(ordered, normed)]
@@ -310,14 +324,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
                 "training requires complete streams"
             )
     policy = _elimination_policy(model_cfg, train_cfg)
-    for s in [*train_samples, *val_samples]:
-        for m in model_cfg.modalities:
-            x = s.features.get(m)
-            if x is not None and x.shape[1] != model_cfg.modality_widths[m]:
-                raise ShapeError(
-                    f"sample {s.sample_id}: modality {m!r} has {x.shape[1]} "
-                    f"features, model expects {model_cfg.modality_widths[m]}"
-                )
+    _check_widths([*train_samples, *val_samples], model_cfg)
     # Training runs on segments of at most segment_length steps, validation on
     # whole samples: reject any that exceed max_steps before the first epoch.
     lengths = [(min(s.n_steps, train_cfg.segment_length), s) for s in train_samples]

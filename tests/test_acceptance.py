@@ -207,23 +207,21 @@ def _primitive_cases():
     # layer with one head and dropout, two layers with two heads without.
     batch, n_steps, n_mod, d, d_ffn = 2, 3, 2, 4, 6
     for n_layers, n_heads, rate in ((1, 1, 0.3), (2, 2, 0.0)):
-        params = {"x0": _param(rng, (batch, 1, d)), "positions": _param(rng, (n_steps, d))}
-        cross, layers = [], []
+        params = {"start": _param(rng, (d,)), "positions": _param(rng, (n_steps, d)),
+                  "encoded": _param(rng, (batch, n_steps, n_mod, d))}
+        layers = []
         for i in range(n_layers):
-            kv = (_param(rng, (batch, n_steps * n_mod, d)), _param(rng, (batch, n_steps * n_mod, d)))
-            widths = [(d, d)] * 6 + [(d, d_ffn), (d_ffn, d)]
+            widths = [(d, d)] * 8 + [(d, d_ffn), (d_ffn, d)]
             pairs = [(_param(rng, shape), _param(rng, shape[1:])) for shape in widths]
             pairs += [(Tensor(rng.uniform(0.5, 1.5, (d,)), requires_grad=True), _param(rng, (d,)))
                       for _ in range(3)]
-            cross.append(kv)
-            layers.append(tuple(pairs))
-            params.update({f"cross{i}.k": kv[0], f"cross{i}.v": kv[1]})
-            params.update({f"layer{i}.{j}.{w}": t for j, pair in enumerate(pairs)
+            layers.append(tz.DecoderWeights(*pairs))
+            params.update({f"layer{i}.{name}.{w}": t for name, pair in layers[-1]._asdict().items()
                            for w, t in zip("wb", pair)})
 
-        def f_decoder(p=params, layers=layers, cross=cross, h=n_heads, rate=rate):
+        def f_decoder(p=params, layers=layers, h=n_heads, rate=rate):
             # fresh Rng per call -> identical dropout on every evaluation
-            out, _ = tz.decoder(p["x0"], p["positions"], layers, cross, n_mod, h, rate, Rng(59))
+            out, _ = tz.decoder(p["start"], p["positions"], p["encoded"], layers, h, rate, Rng(59))
             return _sq(out)
 
         cases.append((f"decoder[layers={n_layers},heads={n_heads},dropout={rate}]",

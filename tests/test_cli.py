@@ -6,6 +6,7 @@ scope); the read-only commands are exercised against those artifacts.
 
 import json
 import os
+import shutil
 import zipfile
 
 import numpy as np
@@ -280,6 +281,7 @@ class TestEval:
 
     @pytest.mark.parametrize("fault", [
         "no_model_config", "non_integer_d_model", "no_norm_stats", "norm_stats_too_narrow",
+        "zero_std", "nan_mean",
     ])
     def test_malformed_checkpoint(self, run_dir, dataset, workspace, capsys, fault):
         config, params, norm_stats = load_checkpoint(run_dir / "model.ckpt")
@@ -289,6 +291,10 @@ class TestEval:
             config["model"]["d_model"] = "abc"
         elif fault == "no_norm_stats":
             del norm_stats["audio.mean"]
+        elif fault == "zero_std":
+            norm_stats["audio.std"] = np.zeros_like(norm_stats["audio.std"])
+        elif fault == "nan_mean":
+            norm_stats["video.mean"][1] = np.nan
         else:
             norm_stats["video.std"] = norm_stats["video.std"][:2]
         bad = workspace / f"{fault}.ckpt"
@@ -297,6 +303,46 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+
+    @pytest.mark.parametrize("bad", [np.array([np.nan]), np.array(["x"])])
+    def test_bad_parameter_is_named(self, run_dir, dataset, workspace, capsys, bad):
+        config, params, norm_stats = load_checkpoint(run_dir / "model.ckpt")
+        params["head.w2.b"] = bad
+        path = workspace / "bad_parameter.ckpt"
+        save_checkpoint(path, config, params, norm_stats)
+        rc = main(["eval", "--model", str(path), "--data", str(dataset)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "head.w2.b" in err
+
+    @pytest.mark.parametrize("command", [["eval"], ["eval", "--modalities", "video"], ["ablate"]])
+    def test_wrong_feature_width_is_named(self, run_dir, dataset, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "test" / "test000" / "audio.csv"  # 4 features -> 3
+        rows = [line.split(",")[:4] for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        rc = main([*command, "--model", str(run_dir / "model.ckpt"), "--data", str(data)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "test000" in err and "'audio'" in err
+
+
+class TestOutFile:
+    def test_missing_parent_is_created(self, run_dir, dataset, tmp_path):
+        out = tmp_path / "nodir" / "x.json"
+        rc = main(["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(dataset),
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["split"] == "test"
+
+    @pytest.mark.parametrize("command", [["eval"], ["ablate"], ["trace", "--sample", "test000"]])
+    def test_directory_rejected_before_the_model_loads(self, dataset, tmp_path, capsys,
+                                                       command):
+        rc = main([*command, "--model", str(tmp_path / "absent.ckpt"), "--data", str(dataset),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "is an existing directory" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -250,14 +250,10 @@ class TestTransformerLayers:
     def test_decoder_step_shape(self):
         rng = Rng(15)
         layer = ly.DecoderLayer(8, 2, 16, rng)
-        x_t = Tensor(rng.normal(0, 1, (2, 1, 8)))
-        k_cross, v_cross = layer.cross_attn.project_kv(
-            Tensor(rng.normal(0, 1, (2, 4, 8)))
-        )
+        start = Tensor(rng.normal(0, 1, (8,)))
+        encoded = Tensor(rng.normal(0, 1, (2, 1, 4, 8)))
         positions = Tensor(rng.normal(0, 1, (1, 8)))
-        out, importance = tz.decoder(
-            x_t, positions, [layer.weights()], [(k_cross, v_cross)], 4, 2, 0.0, None
-        )
+        out, importance = tz.decoder(start, positions, encoded, [layer.weights()], 2, 0.0, None)
         assert out.data.shape == (2, 1, 8)
         assert importance.shape == (2, 4)
         np.testing.assert_allclose(importance.sum(axis=-1), 1.0, atol=1e-12)
@@ -267,16 +263,16 @@ class TestTransformerLayers:
         # the keys and values of the steps before it.
         rng = Rng(16)
         layer = ly.DecoderLayer(4, 2, 8, rng)
-        x_t = Tensor(rng.normal(0, 1, (1, 1, 4)), requires_grad=True)
+        start = Tensor(rng.normal(0, 1, (4,)), requires_grad=True)
         positions = Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
-        cross = Tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True)
+        encoded = Tensor(rng.normal(0, 1, (1, 3, 1, 4)), requires_grad=True)
 
         def f():
-            kv = layer.cross_attn.project_kv(cross)
-            out, _ = tz.decoder(x_t, positions, [layer.weights()], [kv], 1, 2, 0.0, None)
+            out, _ = tz.decoder(start, positions, encoded, [layer.weights()], 2, 0.0, None)
             return tz.tsum(out * out)
 
-        params = dict(layer.parameters("dec"), x_t=x_t, positions=positions, cross=cross)
+        params = dict(layer.parameters("dec"), start=start, positions=positions,
+                      encoded=encoded)
         report = finite_difference_check(f, params)
         assert report.max_rel_err < 1e-5, str(report)
 

@@ -601,23 +601,26 @@ class TestDecoderNode:
 
     def test_records_one_node_and_checks_shapes(self):
         rng = Rng(40)
-        x0 = Tensor(rng.normal(0, 1, (2, 1, 4)), requires_grad=True)
+        start = Tensor(rng.normal(0, 1, (4,)), requires_grad=True)
         positions = Tensor(rng.normal(0, 1, (3, 4)))
-        kv = (Tensor(rng.normal(0, 1, (2, 6, 4))), Tensor(rng.normal(0, 1, (2, 6, 4))))
-        pairs = tuple((Tensor(rng.normal(0, 1, (a, b))), Tensor(np.zeros(b)))
-                      for a, b in [(4, 4)] * 6 + [(4, 5), (5, 4)])
-        pairs += tuple((Tensor(np.ones(4)), Tensor(np.zeros(4))) for _ in range(3))
+        encoded = Tensor(rng.normal(0, 1, (2, 3, 2, 4)))
+        pairs = [(Tensor(rng.normal(0, 1, (a, b))), Tensor(np.zeros(b)))
+                 for a, b in [(4, 4)] * 8 + [(4, 5), (5, 4)]]
+        pairs += [(Tensor(np.ones(4)), Tensor(np.zeros(4))) for _ in range(3)]
+        layers = [tz.DecoderWeights(*pairs)]
         with Tape() as tape:
-            out, importance = tz.decoder(x0, positions, [pairs], [kv], 2, 2, 0.0, None)
+            out, importance = tz.decoder(start, positions, encoded, layers, 2, 0.0, None)
         assert len(tape) == 1
         assert out.data.shape == (2, 3, 4)
         np.testing.assert_allclose(importance.sum(axis=-1), 1.0, atol=1e-12)
-        with pytest.raises(ShapeError):  # 3 tokens do not split into steps of 2
-            tz.decoder(x0, positions, [pairs], [(kv[0][:, :3], kv[1][:, :3])], 2, 2, 0.0, None)
-        with pytest.raises(ShapeError):  # 6 steps, 3 positions
-            tz.decoder(x0, positions, [pairs], [kv], 1, 2, 0.0, None)
+        with pytest.raises(ShapeError):  # 3-D encodings
+            tz.decoder(start, positions, Tensor(encoded.data[:, 0]), layers, 2, 0.0, None)
+        with pytest.raises(ShapeError):  # width 4 against a width-3 start
+            tz.decoder(Tensor(start.data[:3]), positions, encoded, layers, 2, 0.0, None)
+        with pytest.raises(ShapeError):  # 3 steps, 2 positions
+            tz.decoder(start, Tensor(positions.data[:2]), encoded, layers, 2, 0.0, None)
         with pytest.raises(ShapeError):  # width 4 does not split into 3 heads
-            tz.decoder(x0, positions, [pairs], [kv], 2, 3, 0.0, None)
+            tz.decoder(start, positions, encoded, layers, 3, 0.0, None)
 
 
 class TestRngAndInit:
