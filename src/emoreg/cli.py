@@ -44,7 +44,6 @@ from .model import (
     load_model_state,
     save_checkpoint,
 )
-from .objective import ccc, rmse
 from .tensor import Rng
 from .train import (
     ExperimentConfig,
@@ -146,7 +145,14 @@ def _load_trained(path):
                                     f"{' and > 0' if positive else ''}")
     model = EmotionRegressor(model_cfg, Rng(0))
     load_model_state(model, params)
-    return model, config, norm_stats
+    return model, norm_stats
+
+
+def _load_eval_inputs(args):
+    """Check ``--out``, then return (model, norm_stats, samples) for eval commands."""
+    _output_file(args.out)
+    model, norm_stats = _load_trained(args.model)
+    return model, norm_stats, load_dataset(args.data, args.split, model.config.modalities)
 
 
 def _find_sample(samples, sample_id: str):
@@ -212,9 +218,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _output_file(args.out)
-    model, _, norm_stats = _load_trained(args.model)
-    samples = load_dataset(args.data, args.split, model.config.modalities)
+    model, norm_stats, samples = _load_eval_inputs(args)
     keep = _modalities_arg(args.modalities, model.config.modalities)
     result = evaluate(model, samples, norm_stats, use_modalities=keep)
     print(f"split      {args.split}")
@@ -234,9 +238,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _output_file(args.out)
-    model, _, norm_stats = _load_trained(args.model)
-    samples = load_dataset(args.data, args.split, model.config.modalities)
+    model, norm_stats, samples = _load_eval_inputs(args)
     report = ablation_study(model, samples, norm_stats)
     width = max(len("+".join(k)) for k in report.subsets)
     print(f"{'modalities'.ljust(width)}  {'ccc':>8}  {'rmse':>8}")
@@ -290,21 +292,17 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _output_file(args.out)
-    model, _, norm_stats = _load_trained(args.model)
-    samples = load_dataset(args.data, args.split, model.config.modalities)
+    model, norm_stats, samples = _load_eval_inputs(args)
     sample = _find_sample(samples, args.sample)
     keep = _modalities_arg(args.modalities, model.config.modalities)
     result = evaluate(model, [sample], norm_stats, use_modalities=keep)
     pred = result.predictions[sample.sample_id]
-    c = ccc(pred, sample.labels)
-    r = rmse(pred, sample.labels)
     with open(args.out, "w") as fh:
         fh.write("t,predicted,truth\n")
         for t, p, y in zip(sample.timestamps, pred, sample.labels):
             fh.write(f"{repr(float(t))},{repr(float(p))},{repr(float(y))}\n")
-        fh.write(f"# ccc={repr(float(c))} rmse={repr(float(r))}\n")
-    print(f"{sample.sample_id}: ccc {c:.4f}, rmse {r:.4f}; wrote {args.out}")
+        fh.write(f"# ccc={repr(float(result.ccc))} rmse={repr(float(result.rmse))}\n")
+    print(f"{sample.sample_id}: ccc {result.ccc:.4f}, rmse {result.rmse:.4f}; wrote {args.out}")
     return 0
 
 

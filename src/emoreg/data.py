@@ -69,21 +69,6 @@ class MultimodalSample:
 
 
 @dataclass
-class Segment:
-    """A contiguous window of a sample, used as one training unit."""
-
-    sample_id: str
-    start: int
-    timestamps: np.ndarray
-    features: dict
-    labels: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.labels.shape[0]
-
-
-@dataclass
 class SynthConfig(DictConfig):
     """Parameters of the synthetic multimodal benchmark."""
 
@@ -361,7 +346,9 @@ def normalize_features(features: dict, stats: dict) -> dict:
 
 def segment_samples(samples, length: int, hop: int) -> list:
     """Cut each sample into overlapping windows of ``length`` every ``hop``
-    steps.  Samples shorter than ``length`` yield one full-sample segment."""
+    steps.  Samples shorter than ``length`` yield one full-sample segment.
+    Each window is a ``MultimodalSample`` whose arrays are views of its
+    source's, so it must never be modified in place."""
     if length < 1 or hop < 1:
         raise ConfigError(f"segment length and hop must be >= 1, got {length}/{hop}")
     segments = []
@@ -375,9 +362,8 @@ def segment_samples(samples, length: int, hop: int) -> list:
         for start in starts:
             sl = slice(start, start + seg_len)
             segments.append(
-                Segment(
+                MultimodalSample(
                     s.sample_id,
-                    start,
                     s.timestamps[sl],
                     {
                         m: (None if x is None else x[sl])
@@ -390,8 +376,8 @@ def segment_samples(samples, length: int, hop: int) -> list:
 
 
 def collate(segments, modalities) -> tuple:
-    """Stack equal-shape segments into (features [B, T, w] per modality,
-    labels [B, T]).  Modality availability must be uniform across the batch."""
+    """Stack same-length samples into fresh arrays (features [B, T, w] per
+    modality, labels [B, T]).  Modality availability must be uniform."""
     if not segments:
         raise ContractError("cannot collate an empty batch")
     if any(seg.n_steps != segments[0].n_steps for seg in segments):

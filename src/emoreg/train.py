@@ -209,28 +209,43 @@ def _check_widths(samples, config: ModelConfig):
                 )
 
 
+def _check_eval_inputs(samples, config: ModelConfig, subsets):
+    """Check ``samples`` can be evaluated under every entry of ``subsets``
+    before any work is done: the list is not empty, every stream has the
+    width ``config`` gives it, no sample is longer than ``max_steps`` and
+    every sample keeps at least one modality under every subset."""
+    if not samples:
+        raise InsufficientDataError("evaluate called with no samples")
+    _check_widths(samples, config)
+    for s in samples:
+        if s.n_steps > config.max_steps:
+            raise CapacityError(
+                f"sample {s.sample_id}: sequence of {s.n_steps} steps exceeds "
+                f"max_steps={config.max_steps}"
+            )
+    for keep in subsets:
+        for s in samples:
+            feats = _restrict(s.features, keep)
+            if all(feats.get(m) is None for m in config.modalities):
+                raise NoModalityError(f"sample {s.sample_id} has none of the modalities "
+                                      f"{'+'.join(keep or config.modalities)}")
+
+
 def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets) -> list:
     """One ``EvalResult`` per entry of ``subsets`` (``use_modalities`` values).
 
     Samples sharing a length and an availability pattern are encoded as one
     batch; encodings sharing a length and a modality count, across subsets
     too, are stacked and decoded in one loop before the next stack is encoded.
+    Each stacked batch is normalised just before it is encoded.
     """
-    if not samples:
-        raise InsufficientDataError("evaluate called with no samples")
     mods = model.config.modalities
-    _check_widths(samples, model.config)
     ordered = sorted(samples, key=lambda s: s.sample_id)
-    normed = [normalize_features(s.features, norm_stats) for s in ordered]
-    jobs = [(s, _restrict(f, keep)) for keep in subsets for s, f in zip(ordered, normed)]
+    _check_eval_inputs(ordered, model.config, subsets)
+    jobs = [(s, _restrict(s.features, keep)) for keep in subsets for s in ordered]
     stacks = {}
     for i, (s, feats) in enumerate(jobs):
         pattern = tuple(m for m in mods if feats.get(m) is not None)
-        if not pattern:
-            subset = subsets[i // len(ordered)] or mods
-            raise NoModalityError(
-                f"sample {s.sample_id} has none of the modalities {'+'.join(subset)}"
-            )
         stacks.setdefault((s.n_steps, len(pattern)), {}).setdefault(pattern, []).append(i)
     preds, imps = [None] * len(jobs), [None] * len(jobs)
     for _, groups in sorted(stacks.items()):
@@ -240,7 +255,7 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
                 m: np.stack([jobs[i][1][m] for i in indices]) if m in pattern else None
                 for m in mods
             }
-            encoded, present = model.encode(batch)
+            encoded, present = model.encode(normalize_features(batch, norm_stats))
             parts.append(encoded.data)
             rows += [(i, present) for i in indices]
         stacked = Tensor(np.concatenate(parts))
@@ -324,11 +339,11 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
                 "training requires complete streams"
             )
     policy = _elimination_policy(model_cfg, train_cfg)
-    _check_widths([*train_samples, *val_samples], model_cfg)
-    # Training runs on segments of at most segment_length steps, validation on
-    # whole samples: reject any that exceed max_steps before the first epoch.
+    _check_widths(train_samples, model_cfg)
+    _check_eval_inputs(val_samples, model_cfg, [None])
+    # Training runs on segments of at most segment_length steps: reject any
+    # that exceed max_steps before the first epoch.
     lengths = [(min(s.n_steps, train_cfg.segment_length), s) for s in train_samples]
-    lengths += [(s.n_steps, s) for s in val_samples]
     n_steps, longest = max(lengths, key=lambda pair: pair[0])
     if n_steps > model_cfg.max_steps:
         raise CapacityError(
@@ -341,12 +356,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
     dropout_rng = rng.child("dropout")
     eliminate_rng = rng.child("eliminate")
     norm_stats = compute_norm_stats(train_samples, model_cfg.modalities)
-    normed = [
-        type(s)(s.sample_id, s.timestamps,
-                normalize_features(s.features, norm_stats), s.labels)
-        for s in train_samples
-    ]
-    segments = segment_samples(normed, train_cfg.segment_length, train_cfg.segment_hop)
+    segments = segment_samples(train_samples, train_cfg.segment_length, train_cfg.segment_hop)
     params = model.parameters()
     optimizer = AdamOptimizer(
         params, train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2,
@@ -369,6 +379,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
         losses = []
         for chunk in batches:
             features, labels = collate(chunk, model_cfg.modalities)
+            features = normalize_features(features, norm_stats)
             if policy is not None:
                 removed = policy.sample(eliminate_rng)
                 features = policy.applied_to(features, removed)
@@ -539,6 +550,7 @@ def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dic
     conditions = [("all", None)] + [
         (f"no_{m}", tuple(x for x in mods if x != m)) for m in mods
     ]
+    _check_eval_inputs(datasets["test"], model_cfg, [keep for _, keep in conditions])
     variants = {"standard": {}, "robust": dict(train_cfg.elimination)}
     values = {}  # (variant, condition, metric) -> list over seeds
     for variant, policy in variants.items():

@@ -328,6 +328,22 @@ class TestEval:
         assert err.startswith("error: ") and "test000" in err and "'audio'" in err
 
 
+    @pytest.mark.parametrize("command", [["eval"], ["ablate"]])
+    def test_sequence_over_max_steps_is_named(self, run_dir, dataset, workspace, capsys,
+                                              command):
+        # A 40-step copy of the checkpoint against 60-step test samples.
+        config, params, norm_stats = load_checkpoint(run_dir / "model.ckpt")
+        config["model"]["max_steps"] = 40
+        for name in ("enc_positions.table", "dec_positions.table"):
+            params[name] = params[name][:40]
+        path = workspace / "max_steps_40.ckpt"
+        save_checkpoint(path, config, params, norm_stats)
+        rc = main([*command, "--model", str(path), "--data", str(dataset)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: sample test000: sequence of 60 steps exceeds max_steps=40\n"
+
+
 class TestOutFile:
     def test_missing_parent_is_created(self, run_dir, dataset, tmp_path):
         out = tmp_path / "nodir" / "x.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from emoreg.data import (
+    STEP_SECONDS,
     EliminationPolicy,
     MultimodalSample,
     SynthConfig,
@@ -272,7 +273,8 @@ class TestSegmentation:
         data = synth_generate(SynthConfig(n_train=1, n_val=1, n_test=1), seed=9)
         segs = segment_samples(data["train"], 250, 50)
         assert len(segs) == 8
-        assert [seg.start for seg in segs] == list(range(0, 400, 50))
+        starts = [int(seg.timestamps[0] / STEP_SECONDS) for seg in segs]
+        assert starts == list(range(0, 400, 50))
         assert all(seg.n_steps == 250 for seg in segs)
 
     def test_short_sample_single_segment(self):
@@ -286,9 +288,23 @@ class TestSegmentation:
         s = data["train"][0]
         segs = segment_samples([s], 32, 16)
         for seg in segs:
-            sl = slice(seg.start, seg.start + 32)
+            start = int(seg.timestamps[0] / STEP_SECONDS)
+            sl = slice(start, start + 32)
             np.testing.assert_array_equal(seg.labels, s.labels[sl])
             np.testing.assert_array_equal(seg.features["audio"], s.features["audio"][sl])
+
+    def test_segments_are_views_of_the_source(self):
+        # A segment is a MultimodalSample whose arrays alias the source's:
+        # segmenting copies no data.
+        data = synth_generate(small_synth(), seed=11)
+        s = data["train"][0]
+        for seg in segment_samples([s], 32, 16) + segment_samples([s], 100, 10):
+            assert isinstance(seg, MultimodalSample) and seg.sample_id == s.sample_id
+            assert np.shares_memory(seg.timestamps, s.timestamps)
+            assert np.shares_memory(seg.labels, s.labels)
+            for m, x in s.features.items():
+                assert np.shares_memory(seg.features[m], x)
+            assert seg.features is not s.features
 
     def test_bad_geometry(self):
         with pytest.raises(ConfigError):

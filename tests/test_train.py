@@ -69,6 +69,12 @@ def tiny_train_config(**overrides):
     return TrainConfig(**base)
 
 
+def _sample_bytes(s):
+    """Every array of a sample as bytes, to check it is left unchanged."""
+    feats = {m: None if x is None else x.tobytes() for m, x in s.features.items()}
+    return s.sample_id, s.timestamps.tobytes(), s.labels.tobytes(), feats
+
+
 def tiny_data(seed=0, **synth_overrides):
     base = dict(n_train=3, n_val=2, n_test=2, n_steps=80)
     base.update(synth_overrides)
@@ -315,6 +321,44 @@ class TestTrainRun:
         assert len(res.history.epochs) == 2
         assert sorted(shapes) == [[15], [15], [20, 20], [20, 20]]
 
+    def test_segments_alias_the_callers_samples(self, monkeypatch):
+        # Training keeps no normalised copy of the data: every collated
+        # segment is a view of a caller's sample, and the caller's arrays
+        # come back bitwise unchanged.
+        chunks, real = [], train_module.collate
+
+        def recording(chunk, modalities):
+            chunks.append(chunk)
+            return real(chunk, modalities)
+
+        monkeypatch.setattr(train_module, "collate", recording)
+        data = tiny_data(seed=10)
+        before = [_sample_bytes(s) for s in data["train"] + data["val"]]
+        train_run(tiny_model_config(), tiny_train_config(epochs=2, elimination={"audio": 0.5}),
+                  data["train"], data["val"])
+        assert [_sample_bytes(s) for s in data["train"] + data["val"]] == before
+        source = {s.sample_id: s for s in data["train"]}
+        segs = [seg for chunk in chunks for seg in chunk]
+        assert len(segs) == 2 * 3 * len(data["train"])  # 80 steps: windows at 0, 20, 40
+        for seg in segs:
+            s = source[seg.sample_id]
+            assert np.shares_memory(seg.labels, s.labels)
+            for m, x in s.features.items():
+                assert np.shares_memory(seg.features[m], x), m
+
+    def test_validation_modalities_checked_before_first_collate(self, monkeypatch):
+        collated = []
+        monkeypatch.setattr(train_module, "collate", lambda *args: collated.append(args))
+        data = tiny_data(seed=10)
+        s = data["val"][1]
+        data["val"][1] = type(s)(s.sample_id, s.timestamps, dict.fromkeys(s.features), s.labels)
+        with pytest.raises(NoModalityError,
+                           match=rf"sample {s.sample_id} has none of the modalities "
+                                 r"audio\+video\+text$"):
+            train_run(tiny_model_config(), tiny_train_config(epochs=1),
+                      data["train"], data["val"])
+        assert collated == []
+
 
 class TestEvaluate:
     def setup(self):
@@ -387,6 +431,21 @@ class TestEvaluate:
         with pytest.raises(InsufficientDataError):
             evaluate(self.model, [], self.stats)
 
+    def test_over_long_sample_named_before_any_encode(self, monkeypatch):
+        # The 80-step sample exceeds max_steps; the 40-step one would be
+        # encoded first if the check waited for the stacking loop.
+        self.setup()
+        model = EmotionRegressor(tiny_model_config(max_steps=60), Rng(0))
+        encoded = []
+        monkeypatch.setattr(model, "encode", lambda batch: encoded.append(batch))
+        s = self.data["test"][1]
+        short = type(s)("short", s.timestamps[:40],
+                        {m: x[:40] for m, x in s.features.items()}, s.labels[:40])
+        with pytest.raises(CapacityError, match=rf"^sample {s.sample_id}: sequence of 80 steps "
+                                                r"exceeds max_steps=60$"):
+            evaluate(model, [short, s], self.stats)
+        assert encoded == []
+
     def test_sample_without_the_subset_named(self):
         self.setup()
         samples = sorted(self.data["test"], key=lambda s: s.sample_id)
@@ -404,7 +463,9 @@ class TestAblation:
         from emoreg.data import compute_norm_stats
 
         stats = compute_norm_stats(data["train"], model_cfg.modalities)
+        before = [_sample_bytes(s) for s in data["test"]]
         report = ablation_study(model, data["test"], stats)
+        assert [_sample_bytes(s) for s in data["test"]] == before
         assert len(report.subsets) == 7  # 2^3 - 1 non-empty subsets
         for keep, ev in report.subsets.items():
             assert np.isfinite(ev.ccc)
@@ -498,6 +559,22 @@ class TestExperiment:
         with pytest.raises(ConfigError, match=match):
             experiment_run(tiny_model_config(), tiny_train_config(epochs=1, elimination=policy),
                            tiny_data(seed=12), seeds=[0, 1])
+        assert trained == []
+
+
+    def test_test_split_checked_before_any_training(self, monkeypatch):
+        # An audio-only test sample has none of no_audio's streams: fail
+        # before the first training run, not after it.
+        trained = []
+        monkeypatch.setattr(train_module, "train_run", lambda *args: trained.append(args))
+        data = tiny_data(seed=12)
+        s = data["test"][0]
+        s.features["video"] = s.features["text"] = None
+        with pytest.raises(NoModalityError,
+                           match=rf"sample {s.sample_id} has none of the modalities video\+text$"):
+            experiment_run(tiny_model_config(),
+                           tiny_train_config(epochs=1, elimination={"audio": 0.25}),
+                           data, seeds=[0, 1])
         assert trained == []
 
 
