@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DataLoadError,
-    DegenerateAttentionError,
     DegenerateTestError,
     EmoregError,
     InsufficientDataError,

@@ -25,10 +25,6 @@ class NumericError(EmoregError):
     """A NaN or Inf was produced where finite values are required."""
 
 
-class DegenerateAttentionError(EmoregError):
-    """A softmax slice was fully masked, leaving nothing to attend to."""
-
-
 class InsufficientDataError(EmoregError):
     """Too few observations for the requested statistic."""
 

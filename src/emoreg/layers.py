@@ -152,8 +152,7 @@ class MultiHeadAttention(Module):
     splits heads inside its one node and confines each token of a time-major
     sequence to steps within ``mask_length`` of its own.  ``__call__``
     projects keys and values and attends; ``project_kv`` and ``attend`` are
-    its two halves.  A ``DecoderLayer`` holds two of these only for their
-    weights: ``tz.decoder`` runs the decoder's attention itself.
+    its two halves.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: Rng, dropout: float = 0.0):
@@ -224,13 +223,15 @@ class DecoderLayer(Module):
     decoded past, cross-attention over the current step's per-modality
     encoder outputs, then feed-forward, each closed by an ``AddNorm``.
 
-    The decode loop, cross-attention key and value projections included,
-    runs in ``tz.decoder``, which reads them by name through ``weights``.
+    Each attention is a dict of ``PROJECTIONS`` to ``Linear``s.  The decode
+    loop runs in ``tz.decoder``, which reads them by name through ``weights``.
     """
 
-    def __init__(self, d_model: int, n_heads: int, d_ffn: int, rng: Rng):
-        self.self_attn = MultiHeadAttention(d_model, n_heads, rng)
-        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng)
+    PROJECTIONS = ("wq", "wk", "wv", "wo")
+
+    def __init__(self, d_model: int, d_ffn: int, rng: Rng):
+        self.self_attn = {n: Linear(d_model, d_model, rng) for n in self.PROJECTIONS}
+        self.cross_attn = {n: Linear(d_model, d_model, rng) for n in self.PROJECTIONS}
         self.ffn = FeedForward(d_model, d_ffn, rng)
         self.norm1 = AddNorm(d_model)
         self.norm2 = AddNorm(d_model)
@@ -238,8 +239,8 @@ class DecoderLayer(Module):
 
     def weights(self) -> tz.DecoderWeights:
         """This layer's (w, b) and (gain, bias) pairs as a ``tz.DecoderWeights``."""
-        sa, ca, ffn = self.self_attn, self.cross_attn, self.ffn
-        linears = (sa.wq, sa.wk, sa.wv, sa.wo, ca.wq, ca.wk, ca.wv, ca.wo, ffn.w1, ffn.w2)
+        attn = [a[n] for a in (self.self_attn, self.cross_attn) for n in self.PROJECTIONS]
+        linears = (*attn, self.ffn.w1, self.ffn.w2)
         norms = (self.norm1, self.norm2, self.norm3)
         return tz.DecoderWeights(*((m.w, m.b) for m in linears),
                                  *((n.gain, n.bias) for n in norms))

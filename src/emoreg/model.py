@@ -128,7 +128,7 @@ class EmotionRegressor(Module):
             rng.child("start").normal(0.0, 0.02, (c.d_model,)), requires_grad=True
         )
         self.decoder = [
-            DecoderLayer(c.d_model, c.dec_heads, c.d_ffn, rng.child(f"dec/{i}"))
+            DecoderLayer(c.d_model, c.d_ffn, rng.child(f"dec/{i}"))
             for i in range(c.dec_layers)
         ]
         self.head = RegressionHead(c.d_model, c.head_hidden, rng.child("head"))

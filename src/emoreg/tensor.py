@@ -5,15 +5,15 @@ replays it in reverse to populate ``.grad`` on every leaf that requires
 gradients, releasing each intermediate gradient once its op has consumed it.
 Outside a tape, operations are plain numpy with no recording overhead, which
 is what evaluation forward passes use.  Training memory is what the tape
-holds, so the model's layers run as fused nodes (``attention``, ``add_norm``,
-``causal_conv_block``, ``feed_forward``, ``decoder``) that save only what
-their hand-written backward reads.
+holds, so the model's layers run as fused nodes (``local_attention``,
+``add_norm``, ``causal_conv_block``, ``feed_forward``, ``decoder``) that save
+only what their hand-written backward reads.
 
 Every op makes its node the same way: it computes its output value, defines
 ``bw(g)``, which accumulates the input gradients, and returns
 ``_node(name, value, inputs, bw)``, the one place a node is recorded.  An op
 checks ``_recording`` before its forward only to save state that evaluation
-must not pay for (``attention``'s weights, the conv block's mask, the
+must not pay for (``local_attention``'s weights, the conv block's mask, the
 decoder's per-step activations).
 
 Everything is float64: gradient checks against central finite differences at
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     ContractError,
-    DegenerateAttentionError,
     NumericError,
     ShapeError,
 )
@@ -49,6 +48,8 @@ class Rng(np.random.Generator):
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         super().__init__(np.random.PCG64(self.seed))
 
     def child(self, label: str) -> "Rng":
@@ -479,10 +480,7 @@ def _block_forward(qd, k, v, mask, rate: float, rng: Rng | None, out) -> tuple:
     p = np.matmul(qd, np.swapaxes(k, -1, -2))
     if mask is not None:
         p += mask
-    m = p.max(axis=-1, keepdims=True)
-    if mask is not None and np.isneginf(m).any():
-        raise DegenerateAttentionError("attention row is fully masked")
-    p -= m
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     keep = _keep_mask(p.shape, rate, rng)
@@ -562,9 +560,9 @@ def _hand_over(t: Tensor, g: np.ndarray):
 
 
 def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
-    """The node behind ``attention`` and ``local_attention``: runs the block
-    forward over ``blocks`` and records one backward for all of them.
-    Returns (output, weights of the last block)."""
+    """The node behind ``local_attention``: runs the block forward over
+    ``blocks`` and records one backward for all of them.  Returns (output,
+    weights of the last block)."""
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
     if (
         len(qs) != 3 or len(ks) != 3 or len(vs) != 3 or qs[0] != ks[0] or ks[:2] != vs[:2]
@@ -584,23 +582,6 @@ def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
             _hand_over(t, gt)
 
     return _node(name, y, (q, k, v), bw), p
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float,
-              rng: Rng | None, additive_mask=None) -> tuple:
-    """Multi-head scaled dot-product attention as one tape node.
-
-    ``q`` is [batch, queries, width] and ``k``/``v`` are [batch, keys, width]
-    (token-major); heads are split inside as views.  Per head the weights are
-    softmax(q k^T / sqrt(width / n_heads) + additive_mask), with inverted
-    dropout at ``rate`` on the weights when ``rng`` is given; the weighted sums of
-    values are merged back to [batch, queries, width].  A mask row of all
-    -inf raises ``DegenerateAttentionError``.  Returns (output, weights), the
-    weights being the pre-dropout [batch, heads, queries, keys] array.
-    """
-    mask = None if additive_mask is None else np.asarray(additive_mask, dtype=np.float64)
-    whole = [(slice(None), slice(None), mask)]
-    return _blockwise_attention(q, k, v, n_heads, rate, rng, whole, "attention")
 
 
 def _chunk_steps(mask_length: int) -> int:
@@ -634,11 +615,11 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, n_mod: int,
                     mask_length: int, rate: float, rng: Rng | None) -> Tensor:
     """Band-limited multi-head self-attention over a time-major token sequence.
 
-    ``q``, ``k`` and ``v`` are token-major [batch, steps * n_mod, width], as
-    for ``attention``; token ``t * n_mod + m`` holds modality m at step t.
-    Query token i attends to key token j exactly when their steps satisfy
-    ``|t_i - t_j| <= mask_length``; weights, dropout and output are those of
-    ``attention``, with the same block forward and backward.
+    ``q``, ``k`` and ``v`` are token-major [batch, steps * n_mod, width];
+    token ``t * n_mod + m`` holds modality m at step t.  Per head, query token
+    i attends to key token j exactly when their steps satisfy ``|t_i - t_j|
+    <= mask_length``, with weights softmax(q k^T / sqrt(width / n_heads)) and
+    inverted dropout on them at ``rate`` when ``rng`` is given.
 
     The work is blockwise (``_band_blocks``), so time and memory grow linearly
     in steps, and dropout is drawn over each key window only.  Under a tape,
@@ -767,8 +748,8 @@ def decoder(start: Tensor, positions: Tensor, encoded: Tensor, layers, n_heads: 
     step each layer runs self-attention over its own inputs so far,
     ``add_norm``, cross-attention over the step's tokens, ``add_norm``, the
     FFN (linear, relu, dropout, linear) and ``add_norm``, on the array
-    kernels of ``linear``, ``attention``, ``feed_forward`` and ``add_norm``.
-    Dropout is drawn exactly when ``rng`` is given.
+    kernels of ``linear``, ``local_attention``'s block, ``feed_forward`` and
+    ``add_norm``.  Dropout is drawn exactly when ``rng`` is given.
 
     Returns (outputs [batch, steps, width], importance [batch, n_mod]); a
     row's importance is the mean cross-attention weight each of the n_mod
@@ -887,6 +868,9 @@ def decoder(start: Tensor, positions: Tensor, encoded: Tensor, layers, n_heads: 
 # ---------------------------------------------------------------------------
 # Gradient checking
 
+FD_STEP = 1e-5  # central-difference step
+FD_REL_FLOOR = 1e-4  # below this, errors are compared on an absolute scale
+
 
 @dataclass
 class RelativeErrorReport:
@@ -907,19 +891,15 @@ class RelativeErrorReport:
         return "\n".join(lines)
 
 
-def finite_difference_check(
-    f, params: dict, step: float = 1e-5, rel_floor: float = 1e-4
-) -> RelativeErrorReport:
+def finite_difference_check(f, params: dict) -> RelativeErrorReport:
     """Compare tape gradients of ``f()`` with central finite differences.
 
     ``f`` must be a deterministic closure over ``params`` (a name -> Tensor
     mapping) that returns a scalar Tensor.  Relative error per entry is
-    |g_tape - g_fd| / max(|g_tape| + |g_fd|, rel_floor), so near-zero
-    gradients are compared on an absolute scale.
+    |g_tape - g_fd| / max(|g_tape| + |g_fd|, FD_REL_FLOOR), at step
+    ``FD_STEP``, so near-zero gradients are compared on an absolute scale.
     """
-    if step <= 0:
-        raise ConfigError(f"finite-difference step must be > 0, got {step}")
-    report = RelativeErrorReport(step=step)
+    report = RelativeErrorReport(step=FD_STEP)
     if not params:
         return report
     for p in params.values():
@@ -938,13 +918,13 @@ def finite_difference_check(
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             hi = f().item()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             lo = f().item()
             flat[i] = orig
-            fd[i] = (hi - lo) / (2.0 * step)
+            fd[i] = (hi - lo) / (2.0 * FD_STEP)
         ga = analytic[name].reshape(-1)
-        denom = np.maximum(np.abs(ga) + np.abs(fd), rel_floor)
+        denom = np.maximum(np.abs(ga) + np.abs(fd), FD_REL_FLOOR)
         report.per_param[name] = float(np.max(np.abs(ga - fd) / denom))
     return report

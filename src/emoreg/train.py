@@ -83,6 +83,8 @@ class ExperimentConfig(DictConfig):
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds repeat {repeated}: a repeated seed is not an independent run")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
 

@@ -60,7 +60,7 @@ from emoreg.train import (
     train_run,
 )
 
-from oracles import decode_uncached
+from oracles import attention, decode_uncached
 
 GRAD_TOL = 1e-5
 BAND_TOL = 1e-9
@@ -149,7 +149,7 @@ def _primitive_cases():
 
         def f_attention(q=q, k=k, v=v, h=n_heads, mask=mask, rate=rate):
             # fresh Rng per call -> identical dropout on every evaluation
-            out, _ = tz.attention(q, k, v, h, rate, Rng(58), mask)
+            out, _ = attention(q, k, v, h, rate, Rng(58), mask)
             return _sq(out)
 
         cases.append((f"attention[{label}]", {"q": q, "k": k, "v": v}, f_attention))

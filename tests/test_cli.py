@@ -127,6 +127,14 @@ class TestSynth:
         assert rc == 2
         assert "n_stepss" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, workspace, capsys):
+        out = workspace / "d_negative_seed"
+        rc = main(["synth", "--config", str(workspace / "synth.cfg"), "--out", str(out),
+                   "--seed=-1"])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_number_exits_2_and_writes_nothing(self, workspace, capsys):
         bad = workspace / "nan.cfg"
         bad.write_text(SYNTH_CFG + "synth.snr.video = nan\n")
@@ -182,6 +190,14 @@ class TestTrain:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["train"]["seed"] == 7
+
+    def test_negative_seed_exits_2_and_writes_nothing(self, dataset, workspace, capsys):
+        out = workspace / "r_negative_seed"
+        rc = main(["train", "--data", str(dataset), "--out", str(out),
+                   "--config", str(workspace / "train.cfg"), "--seed=-1", "--quiet"])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_bit_identical(self, run_dir, dataset, workspace):
         out = workspace / "run-repeat"
@@ -474,6 +490,19 @@ class TestExperimentCommand:
         assert rc == 2
         assert not out.exists()
         assert "seeds repeat [3]" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_before_any_output(self, dataset, workspace, capsys):
+        cfg = workspace / "seeds.cfg"
+        cfg.write_text(TRAIN_CFG.replace("train.epochs = 4", "train.epochs = 1")
+                       + "eliminate.audio = 0.3\n")
+        out = workspace / "exp_negative_seed"
+        rc = main(["experiment", "--data", str(dataset), "--out", str(out),
+                   "--config", str(cfg), "--seeds=3,-1"])
+        assert rc == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seeds must be >= 0, got [3, -1]" in captured.err
 
     def test_requires_elimination(self, dataset, workspace, capsys):
         cfg = workspace / "noelim.cfg"

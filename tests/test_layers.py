@@ -1,6 +1,7 @@
 """Tests for the neural building blocks."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -163,6 +164,22 @@ class TestBandMask:
     def test_wide_band_allows_everything(self):
         assert (_band_weights(4, 2, 100) > 0.0).all()
 
+    def test_every_mask_row_keeps_a_key(self):
+        # Each query step's own step lies inside its chunk's key window, so
+        # no mask row is all -inf and the softmax never meets an empty row.
+        # The grid covers band 0, sequences shorter than one chunk and
+        # chunks that do not divide the sequence.
+        n_masks = 0
+        for n_steps, n_mod, mask_length in itertools.product(
+            (1, 5, 16, 17, 40, 101), (1, 3), (0, 1, 7, 24, 40, 100)
+        ):
+            for qsl, ksl, mask in tz._band_blocks(n_steps, n_mod, mask_length):
+                if mask is not None:
+                    n_masks += 1
+                    assert mask.shape == (qsl.stop - qsl.start, ksl.stop - ksl.start)
+                    assert np.isfinite(mask).any(axis=-1).all(), (n_steps, n_mod, mask_length)
+        assert n_masks > 0
+
     def test_negative_length_rejected(self):
         x = Tensor(np.zeros((1, 4, 2)))
         with pytest.raises(ConfigError):
@@ -249,7 +266,7 @@ class TestTransformerLayers:
 
     def test_decoder_step_shape(self):
         rng = Rng(15)
-        layer = ly.DecoderLayer(8, 2, 16, rng)
+        layer = ly.DecoderLayer(8, 16, rng)
         start = Tensor(rng.normal(0, 1, (8,)))
         encoded = Tensor(rng.normal(0, 1, (2, 1, 4, 8)))
         positions = Tensor(rng.normal(0, 1, (1, 8)))
@@ -262,7 +279,7 @@ class TestTransformerLayers:
         # Three decode steps of one layer: each step's self-attention reads
         # the keys and values of the steps before it.
         rng = Rng(16)
-        layer = ly.DecoderLayer(4, 2, 8, rng)
+        layer = ly.DecoderLayer(4, 8, rng)
         start = Tensor(rng.normal(0, 1, (4,)), requires_grad=True)
         positions = Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
         encoded = Tensor(rng.normal(0, 1, (1, 3, 1, 4)), requires_grad=True)

@@ -465,6 +465,8 @@ class TestCheckpoint:
                "head.w1.w", "head.w1.b", "head.w2.w", "head.w2.b"]
         )
         assert list(model.parameters()) == expected
+        layer = [n for n in expected if n.startswith("decoder.0.")]
+        assert list(model.decoder[0].parameters("decoder.0")) == layer
 
     def test_parameter_count(self):
         model = EmotionRegressor(tiny_config(), Rng(21))

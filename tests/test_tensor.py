@@ -10,7 +10,6 @@ from emoreg import tensor as tz
 from emoreg.errors import (
     ConfigError,
     ContractError,
-    DegenerateAttentionError,
     NumericError,
     ShapeError,
 )
@@ -22,6 +21,7 @@ from emoreg.tensor import (
     Tensor,
     finite_difference_check,
 )
+from oracles import attention
 
 FD_TOL = 1e-5
 SRC = Path(__file__).resolve().parents[1] / "src" / "emoreg"
@@ -29,11 +29,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "emoreg"
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of [rows, n] logits, read out of
-    ``tz.attention`` as its weights for zero queries under the logits as
+    ``oracles.attention`` as its weights for zero queries under the logits as
     additive mask."""
     rows, n = logits.shape
     kv = Tensor(np.ones((1, n, 2)))
-    _, weights = tz.attention(Tensor(np.zeros((1, rows, 2))), kv, kv, 1, 0.0, None, logits)
+    _, weights = attention(Tensor(np.zeros((1, rows, 2))), kv, kv, 1, 0.0, None, logits)
     return weights[0, 0]
 
 
@@ -55,6 +55,15 @@ def check(f, params, tol=FD_TOL):
     report = finite_difference_check(f, params)
     assert report.max_rel_err < tol, str(report)
     return report
+
+
+def test_no_unbanded_attention_in_the_library():
+    # Unbanded masked attention is a test oracle (tests/oracles.py); without
+    # it no library path can build a fully masked row.
+    import emoreg
+
+    assert not hasattr(tz, "attention")
+    assert not hasattr(emoreg, "DegenerateAttentionError")
 
 
 class TestForwardSemantics:
@@ -97,10 +106,6 @@ class TestForwardSemantics:
         assert np.all(y[:, 2] == 0.0)
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(2), atol=1e-12)
 
-    def test_softmax_fully_masked_slice_raises(self):
-        with pytest.raises(DegenerateAttentionError):
-            _softmax(np.full((1, 3), -np.inf))
-
     def test_large_logits_do_not_overflow(self):
         y = _softmax(np.array([[1000.0, 1000.0, -1000.0]]))
         assert np.isfinite(y).all()
@@ -138,7 +143,7 @@ class TestForwardSemantics:
         v = rng.normal(0, 1, (2, 5, 4))
         mask = np.where(rng.random((3, 5)) < 0.3, -np.inf, 0.0)
         mask[:, 0] = 0.0
-        out, weights = tz.attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.0, None, mask)
+        out, weights = attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.0, None, mask)
         for h in range(2):
             qh, kh = q[..., 3 * h : 3 * h + 3], k[..., 3 * h : 3 * h + 3]
             vh = v[..., 2 * h : 2 * h + 2]
@@ -151,11 +156,11 @@ class TestForwardSemantics:
     def test_attention_shape_errors(self):
         x = Tensor(np.ones((1, 3, 4)))
         with pytest.raises(ShapeError):
-            tz.attention(x, x, x, 3, 0.0, None)  # width 4 over 3 heads
+            attention(x, x, x, 3, 0.0, None)  # width 4 over 3 heads
         with pytest.raises(ShapeError):
-            tz.attention(x, Tensor(np.ones((1, 3, 2))), x, 1, 0.0, None)
+            attention(x, Tensor(np.ones((1, 3, 2))), x, 1, 0.0, None)
         with pytest.raises(ShapeError):
-            tz.attention(Tensor(np.ones((1, 1, 3, 4))), x, x, 1, 0.0, None)
+            attention(Tensor(np.ones((1, 1, 3, 4))), x, x, 1, 0.0, None)
 
     def test_relu_clamps_negatives(self):
         out = tz.relu(Tensor([-2.0, 0.0, 3.0]))
@@ -193,7 +198,7 @@ class TestForwardSemantics:
         np.testing.assert_array_equal(_identity_ffn(x, 0.3, Rng(5)).data, keep)
         q = Tensor(Rng(6).normal(0, 1, (1, 8, 4)))
         for attend in (
-            lambda rate, rng: tz.attention(q, q, q, 2, rate, rng)[0],
+            lambda rate, rng: attention(q, q, q, 2, rate, rng)[0],
             lambda rate, rng: tz.local_attention(q, q, q, 2, 2, 1, rate, rng),
         ):
             plain = attend(0.0, None).data
@@ -316,7 +321,7 @@ class TestGradients:
         q, k, v = self.p((2, 3, 4)), self.p((2, 6, 4)), self.p((2, 6, 4))
         w = self.p((2, 3, 4))
         check(
-            lambda: tz.tsum(tz.attention(q, k, v, 1, 0.0, None)[0] * w),
+            lambda: tz.tsum(attention(q, k, v, 1, 0.0, None)[0] * w),
             {"q": q, "k": k, "v": v, "w": w},
         )
 
@@ -326,7 +331,7 @@ class TestGradients:
         q, k, v = self.p((2, 3, 4)), self.p((2, 6, 4)), self.p((2, 6, 4))
         w = self.p((2, 3, 4))
         check(
-            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, mask)[0] * w),
+            lambda: tz.tsum(attention(q, k, v, 2, 0.0, None, mask)[0] * w),
             {"q": q, "k": k, "v": v, "w": w},
         )
 
@@ -344,7 +349,7 @@ class TestGradients:
         mask = np.zeros((4, 5))
         mask[0, 3:] = -2.5
         check(
-            lambda: tz.tsum(tz.attention(q, k, v, 2, 0.0, None, mask)[0]),
+            lambda: tz.tsum(attention(q, k, v, 2, 0.0, None, mask)[0]),
             {"q": q, "k": k, "v": v},
         )
 
@@ -355,7 +360,7 @@ class TestGradients:
         mask[:, 4] = -np.inf
 
         def f():
-            out, _ = tz.attention(q, k, v, 1, 0.25, Rng(12), mask)
+            out, _ = attention(q, k, v, 1, 0.25, Rng(12), mask)
             return tz.tsum(out * out)
 
         check(f, {"q": q, "k": k, "v": v})
@@ -572,12 +577,12 @@ class TestFreedState:
         w = Tensor(rng.normal(0, 1, (2, 5, 4)))
         x = Tensor(data, requires_grad=True)
         with Tape() as tape:
-            out, _ = tz.attention(x, x, x, 2, 0.2, Rng(35))
+            out, _ = attention(x, x, x, 2, 0.2, Rng(35))
             loss = tz.tsum(out * w)
         tape.backward(loss)
         parts = [Tensor(data.copy(), requires_grad=True) for _ in range(3)]
         with Tape() as tape:
-            out, _ = tz.attention(*parts, 2, 0.2, Rng(35))
+            out, _ = attention(*parts, 2, 0.2, Rng(35))
             loss = tz.tsum(out * w)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, parts[0].grad + parts[1].grad + parts[2].grad)
@@ -624,6 +629,10 @@ class TestDecoderNode:
 
 
 class TestRngAndInit:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            Rng(-1)
+
     def test_same_seed_same_stream(self):
         a = Rng(42).normal(0, 1, (100,))
         b = Rng(42).normal(0, 1, (100,))
