@@ -3,8 +3,9 @@ Reverse-mode autodiff on plain numpy arrays
 ===========================================
 
 The library trains its models with a small tape-based autodiff engine.
-This demo builds a two-layer network by hand, runs a backward pass, and
-then corroborates every gradient with central finite differences.
+This demo builds a two-layer network from one fused feed-forward node
+(linear, relu, linear), runs a backward pass, and then corroborates every
+gradient with central finite differences.
 """
 
 import numpy as np
@@ -19,15 +20,17 @@ rng = Rng(0)
 w1 = Tensor(rng.normal(0.0, 0.5, (3, 8)), requires_grad=True)
 b1 = Tensor(np.zeros(8), requires_grad=True)
 w2 = Tensor(rng.normal(0.0, 0.5, (8, 1)), requires_grad=True)
+b2 = Tensor(np.zeros(1), requires_grad=True)
 x = rng.normal(0.0, 1.0, (16, 3))
 y = np.sin(x.sum(axis=1, keepdims=True))
 
 # ---------------------------------------------------------------------------
 # Any ops executed inside a Tape context are recorded; Tape.backward walks
-# the recording in reverse and accumulates gradients into .grad.
+# the recording in reverse and accumulates gradients into .grad.  One tape
+# records at a time.  The feed-forward node runs x @ w1 + b1, relu, then
+# @ w2 + b2 (dropout is off at rate 0 and without an Rng).
 with Tape() as tape:
-    h = tz.relu(tz.linear(Tensor(x), w1, b1))
-    pred = tz.matmul(h, w2)
+    pred = tz.feed_forward(Tensor(x), w1, b1, w2, b2, 0.0, None)
     err = pred - Tensor(y)
     loss = tz.tmean(tz.mul(err, err))
 tape.backward(loss)
@@ -43,13 +46,12 @@ print(f"dloss/db1       : {np.round(b1.grad, 4)}")
 
 
 def f():
-    h = tz.relu(tz.linear(Tensor(x), w1, b1))
-    pred = tz.matmul(h, w2)
+    pred = tz.feed_forward(Tensor(x), w1, b1, w2, b2, 0.0, None)
     err = pred - Tensor(y)
     return tz.tmean(tz.mul(err, err))
 
 
-report = finite_difference_check(f, {"w1": w1, "b1": b1, "w2": w2})
+report = finite_difference_check(f, {"w1": w1, "b1": b1, "w2": w2, "b2": b2})
 print()
 print(report)
 assert report.max_rel_err < 1e-5

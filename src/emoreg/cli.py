@@ -14,8 +14,9 @@ failures.  Commands that produce a directory write a ``manifest.json`` once
 their run has succeeded, so a rejected run leaves an earlier manifest intact
 (the manifest records the fully materialized configuration and a wall-clock
 stamp; all other outputs are bit-reproducible for a fixed config and seed).
-A directory such a command created is removed again when the command fails
-with an emoreg error, so a rejected run does not block its corrected rerun.
+A directory a command created (its output directory, or the missing parents
+of its output file) is removed again when the command fails with an emoreg
+error, so a rejected run does not block its corrected rerun.
 """
 
 from __future__ import annotations
@@ -65,23 +66,33 @@ def _write_json(path, obj):
 
 
 @contextlib.contextmanager
-def _output_dir(out, force: bool):
-    """Create ``out`` (or reuse it under ``force``) for the body; if this call
-    created it and the body raises an ``EmoregError``, remove it again."""
-    created = not os.path.exists(out)
-    if not created and not os.path.isdir(out):
-        raise ConfigError(f"output path {out} exists and is not a directory")
-    if not created and not force:
-        raise ConfigError(
-            f"output directory {out} already exists; pass --force to reuse it"
-        )
-    os.makedirs(out, exist_ok=True)
+def _made_dir(path):
+    """Create the directory ``path`` and its missing parents for the body; if
+    the body raises an ``EmoregError``, remove what this call created."""
+    created, missing = None, os.path.abspath(path)
+    while not os.path.exists(missing):  # ends with the outermost one to create
+        created, missing = missing, os.path.dirname(missing)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc}") from None
     try:
         yield
     except EmoregError:
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         raise
+
+
+def _output_dir(out, force: bool):
+    """``_made_dir(out)``, where ``out`` must not exist unless ``force``."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output path {out} exists and is not a directory")
+    if os.path.exists(out) and not force:
+        raise ConfigError(
+            f"output directory {out} already exists; pass --force to reuse it"
+        )
+    return _made_dir(out)
 
 
 def _write_manifest(out, command: str, payload: dict):
@@ -101,16 +112,13 @@ def _load_raw_config(path) -> dict:
 
 def _output_file(out):
     """Check ``out`` can take an output file before any work is done: an
-    existing directory there is a ``ConfigError``; a missing parent
-    directory is created."""
+    existing directory there is a ``ConfigError``.  Returns ``_made_dir`` of
+    its parent, so a failed command leaves no new directory behind."""
     if out is None:
-        return
+        return contextlib.nullcontext()
     if os.path.isdir(out):
         raise ConfigError(f"output file {out} is an existing directory")
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create the directory of output file {out}: {exc}") from None
+    return _made_dir(os.path.dirname(os.path.abspath(out)))
 
 
 def _modalities_arg(value, known):
@@ -148,11 +156,13 @@ def _load_trained(path):
     return model, norm_stats
 
 
-def _load_eval_inputs(args):
-    """Check ``--out``, then return (model, norm_stats, samples) for eval commands."""
-    _output_file(args.out)
-    model, norm_stats = _load_trained(args.model)
-    return model, norm_stats, load_dataset(args.data, args.split, model.config.modalities)
+@contextlib.contextmanager
+def _eval_inputs(args):
+    """Check ``--out``, then load the model and the split; the eval command's
+    body gets (model, norm_stats, samples) and runs under ``_output_file``."""
+    with _output_file(args.out):
+        model, norm_stats = _load_trained(args.model)
+        yield model, norm_stats, load_dataset(args.data, args.split, model.config.modalities)
 
 
 def _find_sample(samples, sample_id: str):
@@ -218,39 +228,39 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, norm_stats, samples = _load_eval_inputs(args)
-    keep = _modalities_arg(args.modalities, model.config.modalities)
-    result = evaluate(model, samples, norm_stats, use_modalities=keep)
-    print(f"split      {args.split}")
-    print(f"modalities {','.join(keep) if keep else 'all'}")
-    print(f"ccc        {result.ccc:.4f}")
-    print(f"rmse       {result.rmse:.4f}")
-    print("per-sample ccc:")
-    for sid in sorted(result.per_sample_ccc):
-        print(f"  {sid}  {result.per_sample_ccc[sid]:.4f}")
-    if args.out:
-        payload = result.to_dict()
-        payload["split"] = args.split
-        payload["modalities"] = list(keep) if keep else "all"
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
+    with _eval_inputs(args) as (model, norm_stats, samples):
+        keep = _modalities_arg(args.modalities, model.config.modalities)
+        result = evaluate(model, samples, norm_stats, use_modalities=keep)
+        print(f"split      {args.split}")
+        print(f"modalities {','.join(keep) if keep else 'all'}")
+        print(f"ccc        {result.ccc:.4f}")
+        print(f"rmse       {result.rmse:.4f}")
+        print("per-sample ccc:")
+        for sid in sorted(result.per_sample_ccc):
+            print(f"  {sid}  {result.per_sample_ccc[sid]:.4f}")
+        if args.out:
+            payload = result.to_dict()
+            payload["split"] = args.split
+            payload["modalities"] = list(keep) if keep else "all"
+            _write_json(args.out, payload)
+            print(f"wrote {args.out}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    model, norm_stats, samples = _load_eval_inputs(args)
-    report = ablation_study(model, samples, norm_stats)
-    width = max(len("+".join(k)) for k in report.subsets)
-    print(f"{'modalities'.ljust(width)}  {'ccc':>8}  {'rmse':>8}")
-    for keep in sorted(report.subsets, key=lambda k: (len(k), k)):
-        ev = report.subsets[keep]
-        print(f"{'+'.join(keep).ljust(width)}  {ev.ccc:8.4f}  {ev.rmse:8.4f}")
-    print("cross-attention importance:")
-    for m, w in sorted(report.importance.items()):
-        print(f"  {m}  {w:.4f}")
-    if args.out:
-        _write_json(args.out, {**report.to_dict(), "split": args.split})
-        print(f"wrote {args.out}")
+    with _eval_inputs(args) as (model, norm_stats, samples):
+        report = ablation_study(model, samples, norm_stats)
+        width = max(len("+".join(k)) for k in report.subsets)
+        print(f"{'modalities'.ljust(width)}  {'ccc':>8}  {'rmse':>8}")
+        for keep in sorted(report.subsets, key=lambda k: (len(k), k)):
+            ev = report.subsets[keep]
+            print(f"{'+'.join(keep).ljust(width)}  {ev.ccc:8.4f}  {ev.rmse:8.4f}")
+        print("cross-attention importance:")
+        for m, w in sorted(report.importance.items()):
+            print(f"  {m}  {w:.4f}")
+        if args.out:
+            _write_json(args.out, {**report.to_dict(), "split": args.split})
+            print(f"wrote {args.out}")
     return 0
 
 
@@ -292,17 +302,17 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    model, norm_stats, samples = _load_eval_inputs(args)
-    sample = _find_sample(samples, args.sample)
-    keep = _modalities_arg(args.modalities, model.config.modalities)
-    result = evaluate(model, [sample], norm_stats, use_modalities=keep)
-    pred = result.predictions[sample.sample_id]
-    with open(args.out, "w") as fh:
-        fh.write("t,predicted,truth\n")
-        for t, p, y in zip(sample.timestamps, pred, sample.labels):
-            fh.write(f"{repr(float(t))},{repr(float(p))},{repr(float(y))}\n")
-        fh.write(f"# ccc={repr(float(result.ccc))} rmse={repr(float(result.rmse))}\n")
-    print(f"{sample.sample_id}: ccc {result.ccc:.4f}, rmse {result.rmse:.4f}; wrote {args.out}")
+    with _eval_inputs(args) as (model, norm_stats, samples):
+        sample = _find_sample(samples, args.sample)
+        keep = _modalities_arg(args.modalities, model.config.modalities)
+        result = evaluate(model, [sample], norm_stats, use_modalities=keep)
+        pred = result.predictions[sample.sample_id]
+        with open(args.out, "w") as fh:
+            fh.write("t,predicted,truth\n")
+            for t, p, y in zip(sample.timestamps, pred, sample.labels):
+                fh.write(f"{repr(float(t))},{repr(float(p))},{repr(float(y))}\n")
+            fh.write(f"# ccc={repr(float(result.ccc))} rmse={repr(float(result.rmse))}\n")
+        print(f"{sample.sample_id}: ccc {result.ccc:.4f}, rmse {result.rmse:.4f}; wrote {args.out}")
     return 0
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictconfig import DictConfig
+from .dictconfig import DictConfig, check_int
 from .errors import ConfigError, ContractError, DataLoadError, InsufficientDataError
 from .tensor import Rng
 
@@ -85,18 +85,20 @@ class SynthConfig(DictConfig):
     freq_hi: float = 0.04
 
     def __post_init__(self):
+        self.check_ints()
         self.modalities = tuple(self.modalities)
         if not self.modalities:
             raise ConfigError("synthetic benchmark needs at least one modality")
         for m in self.modalities:
             if m not in self.widths:
                 raise ConfigError(f"no width for modality {m!r}")
+            check_int(f"widths[{m!r}]", self.widths[m])
             if m not in self.snr:
                 raise ConfigError(f"no snr for modality {m!r}")
             if self.snr[m] <= 0:
                 raise ConfigError(f"snr for {m!r} must be > 0")
         for name in ("n_train", "n_val", "n_test", "n_steps", "n_components"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_distractors < 0:
             raise ConfigError("n_distractors must be >= 0")

@@ -47,7 +47,7 @@ from .errors import (
     NoModalityError,
     ShapeError,
 )
-from .dictconfig import DictConfig
+from .dictconfig import DictConfig, check_int
 from .layers import (
     CausalConvStack,
     DecoderLayer,
@@ -79,6 +79,7 @@ class ModelConfig(DictConfig):
     max_steps: int = 2048
 
     def __post_init__(self):
+        self.check_ints()
         self.modalities = tuple(self.modalities)
         if not self.modalities:
             raise ConfigError("model needs at least one modality")
@@ -87,11 +88,11 @@ class ModelConfig(DictConfig):
         for m in self.modalities:
             if m not in self.modality_widths:
                 raise ConfigError(f"no feature width configured for modality {m!r}")
-            if int(self.modality_widths[m]) < 1:
+            if check_int(f"modality_widths[{m!r}]", self.modality_widths[m]) < 1:
                 raise ConfigError(f"modality {m!r} has non-positive width")
         for name in ("d_model", "enc_heads", "enc_layers", "dec_heads", "dec_layers",
                      "conv_layers", "conv_kernel", "d_ffn", "head_hidden", "max_steps"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mask_length < 0:
             raise ConfigError(f"mask_length must be >= 0, got {self.mask_length}")

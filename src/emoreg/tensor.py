@@ -3,11 +3,13 @@
 A ``Tape`` context records differentiable operations; ``Tape.backward``
 replays it in reverse to populate ``.grad`` on every leaf that requires
 gradients, releasing each intermediate gradient once its op has consumed it.
-Outside a tape, operations are plain numpy with no recording overhead, which
-is what evaluation forward passes use.  Training memory is what the tape
-holds, so the model's layers run as fused nodes (``local_attention``,
-``add_norm``, ``causal_conv_block``, ``feed_forward``, ``decoder``) that save
-only what their hand-written backward reads.
+One tape records at a time.  Outside a tape, operations are plain numpy with
+no recording overhead, which is what evaluation forward passes use.  Training
+memory is what the tape holds, so the model's layers run as fused nodes
+(``local_attention``, ``add_norm``, ``causal_conv_block``, ``feed_forward``,
+``decoder``) that save only what their hand-written backward reads.  Only ops
+the library runs are kept: relu and matmul run inside the fused nodes and
+``linear``, never on their own.
 
 Every op makes its node the same way: it computes its output value, defines
 ``bw(g)``, which accumulates the input gradients, and returns
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dictconfig import check_int
 from .errors import (
     ConfigError,
     ContractError,
@@ -47,7 +50,7 @@ class Rng(np.random.Generator):
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = int(check_int("seed", seed))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         super().__init__(np.random.PCG64(self.seed))
@@ -71,10 +74,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -87,40 +86,21 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; the free functions below do the real work.
+    # Operator sugar between Tensors; the free functions below do the work.
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(self, other)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(self, other)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(self, other)
 
     def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return div(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +111,9 @@ class Tape:
     """Ordered record of differentiable operations.
 
     Operations executed while a tape is active (``with Tape() as t:``) are
-    appended in execution order, which is automatically topological.  The
+    appended in execution order, which is automatically topological.  One
+    tape records at a time: entering a tape while another is active raises
+    ``ContractError`` rather than taking ops away from the outer one.  The
     backward pass walks the record in reverse, accumulating gradients with
     ``+=`` so that repeated ``backward`` calls without ``zero_grad`` on the
     leaves accumulate, as optimizer steps expect.
@@ -141,16 +123,19 @@ class Tape:
     so the pass holds the gradients still to be consumed, not all of them.
     """
 
+    _active = None  # the tape recording now
+
     def __init__(self):
         self._nodes = []
 
     def __enter__(self):
-        _push_tape(self)
+        if Tape._active is not None:
+            raise ContractError("a tape is already recording; only one tape records at a time")
+        Tape._active = self
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
-        return False
+        Tape._active = None
 
     def __len__(self):
         return len(self._nodes)
@@ -185,21 +170,8 @@ class Tape:
                 out.grad = None
 
 
-_TAPE_STACK: list[Tape] = []
-
-
-def _push_tape(tape: Tape):
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape: Tape):
-    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
-        raise ContractError("tape stack corrupted: exiting a tape that is not current")
-    _TAPE_STACK.pop()
-
-
 def current_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    return Tape._active
 
 
 def _recording(*tensors) -> Tape | None:
@@ -262,10 +234,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _node("sub", a.data - b.data, (a, b), bw)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _node("neg", -a.data, (a,), lambda g: _add_grad(a, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         _add_grad(a, g * b.data)
@@ -316,11 +284,6 @@ def _expand(g, shape, axis, keepdims):
     if keepdims:
         return g
     return np.expand_dims(g, _norm_axes(axis, len(shape)))
-
-
-def relu(a: Tensor) -> Tensor:
-    return _node("relu", np.maximum(a.data, 0.0), (a,),
-                 lambda g: _add_grad(a, g * (a.data > 0.0)))
 
 
 def _keep_mask(shape, rate: float, rng: Rng | None):
@@ -392,21 +355,6 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
 
 # ---------------------------------------------------------------------------
 # Linear algebra ops
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul requires tensors with at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner extents disagree: {a.data.shape} @ {b.data.shape}"
-        )
-
-    def bw(g):
-        _add_grad(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _add_grad(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    return _node("matmul", np.matmul(a.data, b.data), (a, b), bw)
 
 
 def _linear_forward(x, w, b):
@@ -877,14 +825,13 @@ class RelativeErrorReport:
     """Outcome of comparing tape gradients against central finite differences."""
 
     per_param: dict = field(default_factory=dict)
-    step: float = 0.0
 
     @property
     def max_rel_err(self) -> float:
         return max(self.per_param.values(), default=0.0)
 
     def __str__(self):
-        lines = [f"finite-difference check (step={self.step:g})"]
+        lines = [f"finite-difference check (step={FD_STEP:g})"]
         for name, err in sorted(self.per_param.items()):
             lines.append(f"  {name}: max rel err {err:.3e}")
         lines.append(f"  overall: {self.max_rel_err:.3e}")
@@ -899,7 +846,7 @@ def finite_difference_check(f, params: dict) -> RelativeErrorReport:
     |g_tape - g_fd| / max(|g_tape| + |g_fd|, FD_REL_FLOOR), at step
     ``FD_STEP``, so near-zero gradients are compared on an absolute scale.
     """
-    report = RelativeErrorReport(step=FD_STEP)
+    report = RelativeErrorReport()
     if not params:
         return report
     for p in params.values():

@@ -25,7 +25,7 @@ from .data import (
     normalize_features,
     segment_samples,
 )
-from .dictconfig import DictConfig
+from .dictconfig import DictConfig, check_int
 from .errors import (
     CapacityError,
     ConfigError,
@@ -59,9 +59,10 @@ class TrainConfig(DictConfig):
     elimination: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.check_ints()
         for name in ("epochs", "batch_size", "halve_patience", "stop_patience",
                      "segment_length", "segment_hop"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
@@ -79,7 +80,7 @@ class ExperimentConfig(DictConfig):
     alpha: float = 0.05
 
     def __post_init__(self):
-        self.seeds = list(self.seeds)
+        self.seeds = [check_int("seeds", s) for s in self.seeds]
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds repeat {repeated}: a repeated seed is not an independent run")

@@ -128,12 +128,12 @@ class TestSynth:
         assert "n_stepss" in capsys.readouterr().err
 
     def test_negative_seed_exits_2_and_writes_nothing(self, workspace, capsys):
-        out = workspace / "d_negative_seed"
+        out = workspace / "d_negative_seed" / "sub"  # the missing parent goes too
         rc = main(["synth", "--config", str(workspace / "synth.cfg"), "--out", str(out),
                    "--seed=-1"])
         assert rc == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.parent.exists()
 
     def test_non_finite_number_exits_2_and_writes_nothing(self, workspace, capsys):
         bad = workspace / "nan.cfg"
@@ -296,8 +296,8 @@ class TestEval:
         assert "checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", [
-        "no_model_config", "non_integer_d_model", "no_norm_stats", "norm_stats_too_narrow",
-        "zero_std", "nan_mean",
+        "no_model_config", "non_integer_d_model", "fractional_d_ffn", "bool_head_hidden",
+        "no_norm_stats", "norm_stats_too_narrow", "zero_std", "nan_mean",
     ])
     def test_malformed_checkpoint(self, run_dir, dataset, workspace, capsys, fault):
         config, params, norm_stats = load_checkpoint(run_dir / "model.ckpt")
@@ -305,6 +305,10 @@ class TestEval:
             del config["model"]
         elif fault == "non_integer_d_model":
             config["model"]["d_model"] = "abc"
+        elif fault == "fractional_d_ffn":
+            config["model"]["d_ffn"] = 8.5
+        elif fault == "bool_head_hidden":
+            config["model"]["head_hidden"] = True
         elif fault == "no_norm_stats":
             del norm_stats["audio.mean"]
         elif fault == "zero_std":
@@ -367,6 +371,16 @@ class TestOutFile:
                    "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["split"] == "test"
+
+    @pytest.mark.parametrize("command", [["eval"], ["ablate"], ["trace", "--sample", "test000"]])
+    def test_failed_command_removes_the_parents_it_created(self, tmp_path, capsys, command):
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "newdir" / "sub" / "x.json", tmp_path / "kept" / "sub" / "x.json"):
+            rc = main([*command, "--model", str(tmp_path / "missing.ckpt"),
+                       "--data", str(tmp_path / "nodata"), "--out", str(out)])
+            assert rc == 1 and capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == ["kept"]
+        assert os.listdir(tmp_path / "kept") == []
 
     @pytest.mark.parametrize("command", [["eval"], ["ablate"], ["trace", "--sample", "test000"]])
     def test_directory_rejected_before_the_model_loads(self, dataset, tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Tests for the synthetic benchmark, CSV round trips, and segmentation."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestSynthConfig:
             small_synth(freq_lo=0.05, freq_hi=0.01)
         with pytest.raises(ConfigError):
             SynthConfig.from_dict({"n_tain": 3})
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"n_steps": 80.0}, "n_steps"),
+        ({"n_distractors": False}, "n_distractors"),
+        ({"widths": {"audio": 8, "video": 7.5, "text": 6}}, "widths['video']"),
+    ])
+    def test_non_integer_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected an integer"):
+            small_synth(**overrides)
+        assert small_synth(n_steps=np.int64(80)).n_steps == 80
 
 
 class TestSynthGenerate:

@@ -1,5 +1,6 @@
 """Tests for the full encoder-decoder model and checkpointing."""
 
+import re
 import tracemalloc
 from collections import Counter
 
@@ -84,6 +85,20 @@ class TestModelConfig:
             tiny_config(dropout=1.0)
         with pytest.raises(ConfigError):
             tiny_config(mask_length=-2)
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"d_ffn": 8.5}, "d_ffn"),
+        ({"head_hidden": True}, "head_hidden"),
+        ({"mask_length": 3.0}, "mask_length"),
+        ({"modality_widths": {"a": 3, "b": 2.5}}, "modality_widths['b']"),
+    ])
+    def test_non_integer_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected an integer"):
+            tiny_config(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        cfg = tiny_config(d_ffn=np.int64(16), modality_widths={"a": np.int32(3), "b": 2})
+        assert cfg.d_ffn == 16 and cfg.modality_widths["a"] == 3
 
 
 class TestForward:

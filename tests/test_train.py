@@ -22,6 +22,7 @@ from emoreg import train as train_module
 from emoreg.train import (
     AdamOptimizer,
     Comparison,
+    ExperimentConfig,
     ExperimentReport,
     PlateauScheduler,
     TrainConfig,
@@ -79,6 +80,24 @@ def tiny_data(seed=0, **synth_overrides):
     base = dict(n_train=3, n_val=2, n_test=2, n_steps=80)
     base.update(synth_overrides)
     return synth_generate(SynthConfig(**base), seed=seed)
+
+
+class TestConfigs:
+    @pytest.mark.parametrize("overrides, field", [
+        ({"batch_size": 8.5}, "batch_size"),
+        ({"seed": True}, "seed"),
+    ])
+    def test_train_config_non_integer_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"^{field}: expected an integer"):
+            tiny_train_config(**overrides)
+        assert tiny_train_config(epochs=np.int64(3)).epochs == 3
+
+    @pytest.mark.parametrize("seeds", [[1.5, 1], [True, 2]])
+    def test_experiment_seeds_must_be_integers(self, seeds):
+        # Rng(1.5) would seed 1, so [1.5, 1] would train two identical runs.
+        with pytest.raises(ConfigError, match="^seeds: expected an integer"):
+            ExperimentConfig(seeds=seeds)
+        assert ExperimentConfig(seeds=[np.int64(1), 2]).seeds == [1, 2]
 
 
 class TestAdam:
