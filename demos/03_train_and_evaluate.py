@@ -29,7 +29,8 @@ model_cfg = ModelConfig(
     conv_layers=2, conv_kernel=3, d_ffn=32, head_hidden=8,
     mask_length=8, dropout=0.1, max_steps=256,
 )
-print(f"model parameters: {EmotionRegressor(model_cfg, Rng(0)).n_parameters()}")
+n_params = sum(p.data.size for p in EmotionRegressor(model_cfg, Rng(0)).parameters().values())
+print(f"model parameters: {n_params}")
 
 # ---------------------------------------------------------------------------
 # The loss is 1 - CCC per training segment; validation runs on the full

@@ -12,7 +12,7 @@ import itertools
 
 from emoreg.data import SynthConfig, synth_generate
 from emoreg.model import ModelConfig
-from emoreg.train import TrainConfig, ablation_study, dominant_modality, train_run
+from emoreg.train import TrainConfig, ablation_study, train_run
 
 synth = SynthConfig(n_train=6, n_val=2, n_test=2, n_steps=160,
                     widths={"audio": 8, "video": 8, "text": 6})
@@ -49,7 +49,8 @@ for m, w in sorted(report.importance.items(), key=lambda kv: -kv[1]):
     bar = "#" * int(round(w * 40))
     print(f"  {m:6s} {w:.3f} {bar}")
 
-dom = dominant_modality(report.importance)
+imp = report.importance
+dom = max(sorted(imp), key=imp.get)  # ties go to the first name
 print(f"\nhighest attention share: '{dom}', matching the benchmark's SNR design.")
 print("removing audio leaves the weakest pair, and text alone scores ~0 --")
 print("the asymmetry the robustness experiment in demo 05 builds on.")

@@ -327,6 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Arguments shared by the commands that read a trained model ...
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--model", required=True, help="checkpoint file")
+    scoring.add_argument("--data", required=True, help="dataset root directory")
+    scoring.add_argument("--split", default="test")
+    # ... and by the commands that train into a new run directory.
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--data", required=True, help="dataset root directory")
+    training.add_argument("--out", required=True, help="run directory to create")
+    training.add_argument("--config", help="flat key=value config file")
+    training.add_argument("--force", action="store_true")
+    training.add_argument("--quiet", action="store_true")
+
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", required=True, help="dataset directory to create")
@@ -334,46 +347,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model")
-    p.add_argument("--data", required=True, help="dataset root directory")
-    p.add_argument("--out", required=True, help="run directory to create")
-    p.add_argument("--config", help="flat key=value config file")
+    p = sub.add_parser("train", parents=[training], help="train a model")
     p.add_argument("--seed", type=int, help="override train.seed")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained model")
-    p.add_argument("--model", required=True, help="checkpoint file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
+    p = sub.add_parser("eval", parents=[scoring], help="evaluate a trained model")
     p.add_argument("--modalities", help="comma list restricting the streams used")
     p.add_argument("--out", help="write metrics JSON here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="evaluate every modality subset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
+    p = sub.add_parser("ablate", parents=[scoring], help="evaluate every modality subset")
     p.add_argument("--out", help="write report JSON here")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser(
-        "experiment", help="multi-seed robustness comparison with statistics"
+        "experiment", parents=[training],
+        help="multi-seed robustness comparison with statistics",
     )
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seeds", help="comma list of seeds (default 0..9)")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("trace", help="write predicted vs true trace CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("trace", parents=[scoring], help="write predicted vs true trace CSV")
     p.add_argument("--sample", required=True, help="sample id")
-    p.add_argument("--split", default="test")
     p.add_argument("--modalities", help="comma list restricting the streams used")
     p.add_argument("--out", required=True, help="trace CSV path")
     p.set_defaults(func=cmd_trace)

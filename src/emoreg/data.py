@@ -434,10 +434,3 @@ class EliminationPolicy:
             if u < cum:
                 return m
         return None
-
-    def applied_to(self, features: dict, removed) -> dict:
-        if removed is None:
-            return features
-        out = dict(features)
-        out[removed] = None
-        return out

@@ -109,11 +109,6 @@ class CausalConvStack(Module):
         self.res_proj = Linear(d_in, d_model, rng) if d_in != d_model else None
         self.dropout_rate = dropout
 
-    @property
-    def receptive_field(self) -> int:
-        k = self.kernels[0].data.shape[0]
-        return 1 + (k - 1) * (2 ** len(self.kernels) - 1)
-
     def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
         h, skip = x, (x if self.res_proj is None else self.res_proj(x))
         for kernel, bias, dilation in zip(self.kernels, self.biases, self.dilations):

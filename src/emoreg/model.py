@@ -134,9 +134,6 @@ class EmotionRegressor(Module):
         ]
         self.head = RegressionHead(c.d_model, c.head_hidden, rng.child("head"))
 
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters().values())
-
     # ------------------------------------------------------------------
     # Encoder
 
@@ -185,17 +182,17 @@ class EmotionRegressor(Module):
                 raise ShapeError("modalities disagree on batch size")
             front = self.conv[m](Tensor(x), rng)
             mi = c.modalities.index(m)
-            token = front + self.enc_positions.rows(0, n_steps) + self.modality_codes.rows(mi, 1)
-            tokens.append(tz.reshape(token, token.data.shape[:2] + (1, c.d_model)))
-        # Time-major token sequence [batch, steps * n_present, width]: the M
-        # tokens of step t sit at [t*M, (t+1)*M), so the band is contiguous.
+            tokens.append(
+                front + self.enc_positions.rows(0, n_steps) + self.modality_codes.rows(mi, 1)
+            )
+        # Time-major token sequence [batch, steps * n_present, width]: joined
+        # on the last axis, the M tokens of step t sit at [t*M, (t+1)*M), so
+        # the band is contiguous.
         n_mod = len(present)
-        h = tz.concat(tokens, axis=2)
-        b = h.data.shape[0]
-        h = tz.reshape(h, (b, n_steps * n_mod, c.d_model))
+        h = tz.reshape(tz.concat(tokens, axis=2), (batch, n_steps * n_mod, c.d_model))
         for layer in self.encoder:
             h = layer(h, (n_mod, c.mask_length), rng)
-        return tz.reshape(h, (b, n_steps, n_mod, c.d_model)), present
+        return tz.reshape(h, (batch, n_steps, n_mod, c.d_model)), present
 
     # ------------------------------------------------------------------
     # Decoder

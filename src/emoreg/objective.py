@@ -4,7 +4,8 @@ The training objective is concordance-based: 1 - CCC, where CCC is Lin's
 concordance correlation coefficient computed with population (1/n) moments
 and a small stabilizer in the denominator.  Unlike Pearson correlation, CCC
 penalizes scale and offset errors, so optimizing it pushes predictions onto
-the identity line rather than just onto *some* line.
+the identity line rather than just onto *some* line.  The metric ``ccc`` and
+the loss ``ccc_loss`` share one formula, ``_ccc_rows``.
 
 Multi-seed comparisons use Welch's unequal-variance t-test with
 Holm-Bonferroni correction across each family of hypotheses.
@@ -38,11 +39,7 @@ def ccc(pred: np.ndarray, truth: np.ndarray) -> float:
         raise ShapeError(f"ccc length mismatch: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
         raise InsufficientDataError("ccc of empty sequences")
-    mp, mt = pred.mean(), truth.mean()
-    dp, dt = pred - mp, truth - mt
-    cov = float(np.mean(dp * dt))
-    vp, vt = float(np.mean(dp * dp)), float(np.mean(dt * dt))
-    return 2.0 * cov / (vp + vt + (mp - mt) ** 2 + CCC_EPS)
+    return float(_ccc_rows(Tensor(pred), truth).data)
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -55,12 +52,24 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def ccc_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
-    """Differentiable 1 - CCC, averaged over leading (segment) axes.
+def _ccc_rows(pred: Tensor, truth: np.ndarray) -> Tensor:
+    """CCC of each row of ``pred`` against ``truth``'s, over the last axis; the
+    truth-side moments are constants, so only prediction statistics are taped."""
+    mt = truth.mean(axis=-1, keepdims=True)
+    dt = truth - mt
+    vt = (dt * dt).mean(axis=-1)
+    mp = tz.tmean(pred, axis=-1, keepdims=True)
+    dp = pred - mp
+    cov = tz.tmean(dp * Tensor(dt), axis=-1)
+    vp = tz.tmean(dp * dp, axis=-1)
+    mean_gap = tz.reshape(mp, mp.data.shape[:-1]) - Tensor(mt.reshape(mt.shape[:-1]))
+    denom = vp + Tensor(vt) + mean_gap * mean_gap + Tensor(np.float64(CCC_EPS))
+    return (Tensor(np.float64(2.0)) * cov) / denom
 
-    ``pred`` has shape [T] or [B, T]; ``truth`` matches.  The truth-side
-    moments are constants, so only prediction statistics go on the tape.
-    """
+
+def ccc_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
+    """Differentiable 1 - CCC, averaged over leading (segment) axes of ``pred``
+    ([T] or [B, T]; ``truth`` matches)."""
     truth = np.asarray(truth, dtype=np.float64)
     if pred.data.shape != truth.shape:
         raise ShapeError(
@@ -68,18 +77,7 @@ def ccc_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
         )
     if truth.shape[-1] < 1:
         raise InsufficientDataError("loss over empty time axis")
-    mt = truth.mean(axis=-1, keepdims=True)
-    dt = truth - mt
-    vt = (dt * dt).mean(axis=-1)
-
-    mp = tz.tmean(pred, axis=-1, keepdims=True)
-    dp = pred - mp
-    cov = tz.tmean(dp * Tensor(dt), axis=-1)
-    vp = tz.tmean(dp * dp, axis=-1)
-    mean_gap = tz.reshape(mp, mp.data.shape[:-1]) - Tensor(mt.reshape(mt.shape[:-1]))
-    denom = vp + Tensor(vt) + mean_gap * mean_gap + Tensor(np.float64(CCC_EPS))
-    ccc_per = (Tensor(np.float64(2.0)) * cov) / denom
-    return Tensor(np.float64(1.0)) - tz.tmean(ccc_per)
+    return Tensor(np.float64(1.0)) - tz.tmean(_ccc_rows(pred, truth))
 
 
 @dataclass

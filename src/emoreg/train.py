@@ -6,6 +6,10 @@ without validation improvement, stops after 15, and restores the best
 weights.  The "robust" variant draws a modality to eliminate for each batch,
 teaching the model to predict from incomplete inputs.
 
+Training and evaluation share one input check (``_check_inputs``, run before
+any work) and one modality mask (``_restrict``, for elimination draws and
+evaluation subsets alike).
+
 Experiments train both variants over many seeds, evaluate every
 missing-modality condition, and compare groups with Welch's t-test under
 Holm-Bonferroni correction.
@@ -14,6 +18,7 @@ Holm-Bonferroni correction.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -39,6 +44,8 @@ from .errors import (
 from .model import EmotionRegressor, ModelConfig
 from .objective import MetricValue, ccc_loss, holm_bonferroni, welch_t_test
 from .tensor import Rng, Tape, Tensor
+
+EVAL_ROWS = 64  # most rows one evaluation encode or decode holds: the paper's batch size
 
 
 @dataclass
@@ -199,9 +206,13 @@ def _restrict(features: dict, keep) -> dict:
     return {m: (x if m in keep else None) for m, x in features.items()}
 
 
-def _check_widths(samples, config: ModelConfig):
-    """Raise ``ShapeError`` naming the first sample and modality whose stream
-    has another feature width than ``config`` gives it."""
+def _check_inputs(samples, config: ModelConfig, subsets):
+    """Check ``samples`` can be run under every entry of ``subsets`` before
+    any work is done: the list is not empty, every stream has the width
+    ``config`` gives it, no sample is longer than ``max_steps`` and every
+    sample keeps at least one modality under every subset."""
+    if not samples:
+        raise InsufficientDataError("evaluate called with no samples")
     for s in samples:
         for m in config.modalities:
             x = s.features.get(m)
@@ -210,17 +221,6 @@ def _check_widths(samples, config: ModelConfig):
                     f"sample {s.sample_id}: modality {m!r} has {x.shape[1]} "
                     f"features, model expects {config.modality_widths[m]}"
                 )
-
-
-def _check_eval_inputs(samples, config: ModelConfig, subsets):
-    """Check ``samples`` can be evaluated under every entry of ``subsets``
-    before any work is done: the list is not empty, every stream has the
-    width ``config`` gives it, no sample is longer than ``max_steps`` and
-    every sample keeps at least one modality under every subset."""
-    if not samples:
-        raise InsufficientDataError("evaluate called with no samples")
-    _check_widths(samples, config)
-    for s in samples:
         if s.n_steps > config.max_steps:
             raise CapacityError(
                 f"sample {s.sample_id}: sequence of {s.n_steps} steps exceeds "
@@ -237,37 +237,44 @@ def _check_eval_inputs(samples, config: ModelConfig, subsets):
 def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets) -> list:
     """One ``EvalResult`` per entry of ``subsets`` (``use_modalities`` values).
 
-    Samples sharing a length and an availability pattern are encoded as one
-    batch; encodings sharing a length and a modality count, across subsets
-    too, are stacked and decoded in one loop before the next stack is encoded.
-    Each stacked batch is normalised just before it is encoded.
+    Jobs (a sample under a subset) of one length and modality count, across
+    subsets too, are stacked by availability pattern, then job, and cut into
+    chunks of at most ``EVAL_ROWS`` rows.  A chunk's jobs of one pattern are
+    normalised and encoded as one batch; the chunk is decoded in one loop.
     """
     mods = model.config.modalities
     ordered = sorted(samples, key=lambda s: s.sample_id)
-    _check_eval_inputs(ordered, model.config, subsets)
+    _check_inputs(ordered, model.config, subsets)
     jobs = [(s, _restrict(s.features, keep)) for keep in subsets for s in ordered]
     stacks = {}
     for i, (s, feats) in enumerate(jobs):
         pattern = tuple(m for m in mods if feats.get(m) is not None)
-        stacks.setdefault((s.n_steps, len(pattern)), {}).setdefault(pattern, []).append(i)
+        stacks.setdefault((s.n_steps, len(pattern)), []).append((pattern, i))
     preds, imps = [None] * len(jobs), [None] * len(jobs)
-    for _, groups in sorted(stacks.items()):
-        rows, parts = [], []
-        for pattern, indices in sorted(groups.items()):
-            batch = {
-                m: np.stack([jobs[i][1][m] for i in indices]) if m in pattern else None
-                for m in mods
-            }
-            encoded, present = model.encode(normalize_features(batch, norm_stats))
-            parts.append(encoded.data)
-            rows += [(i, present) for i in indices]
-        stacked = Tensor(np.concatenate(parts))
-        del encoded, parts  # hold only the stacked copy while decoding,
-        out, imp = model.decode(stacked)
-        del stacked  # and none of it while encoding the next stack
-        for r, (i, present) in enumerate(rows):
-            preds[i] = out.data[r]
-            imps[i] = dict(zip(present, imp[r]))
+    for _, stack in sorted(stacks.items()):
+        stack.sort()
+        for lo in range(0, len(stack), EVAL_ROWS):
+            rows, parts = [], []
+            for pattern, group in groupby(stack[lo : lo + EVAL_ROWS], key=lambda job: job[0]):
+                indices = [i for _, i in group]
+                batch = {
+                    m: np.stack([jobs[i][1][m] for i in indices]) if m in pattern else None
+                    for m in mods
+                }
+                encoded, present = model.encode(normalize_features(batch, norm_stats))
+                parts.append(encoded.data)
+                rows += [(i, present) for i in indices]
+            stacked = Tensor(np.concatenate(parts))
+            del encoded, parts  # hold only the stacked copy while decoding,
+            out, imp = model.decode(stacked)
+            del stacked  # and none of it while encoding the next chunk
+            for r, (i, present) in enumerate(rows):
+                if not np.isfinite(out.data[r]).all():
+                    raise NumericError(f"sample {jobs[i][0].sample_id}: non-finite predictions "
+                                       f"from {'+'.join(present)}; are its features far "
+                                       "outside the training range?")
+                preds[i] = out.data[r]
+                imps[i] = dict(zip(present, imp[r]))
     truth = np.concatenate([s.labels for s in ordered])
     results = []
     for lo in range(0, len(jobs), len(ordered)):
@@ -278,9 +285,14 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
             for m, w in row_imp.items():
                 weights.setdefault(m, []).append(w)
         importance = {m: sum(ws) / len(ws) for m, ws in weights.items()}
+        ccc, rmse = ob.ccc(flat, truth), ob.rmse(flat, truth)
+        if not np.isfinite([ccc, rmse]).all():  # the predictions are finite
+            worst = max(ordered, key=lambda s: np.abs(s.labels).max())
+            raise NumericError(f"sample {worst.sample_id}: labels up to "
+                               f"{float(np.abs(worst.labels).max())!r} are too large to score")
         results.append(EvalResult(
-            ccc=ob.ccc(flat, truth),
-            rmse=ob.rmse(flat, truth),
+            ccc=ccc,
+            rmse=rmse,
             per_sample_ccc={s.sample_id: ob.ccc(p, s.labels) for s, p in zip(ordered, row_preds)},
             predictions={s.sample_id: p for s, p in zip(ordered, row_preds)},
             importance=importance,
@@ -342,24 +354,15 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
                 "training requires complete streams"
             )
     policy = _elimination_policy(model_cfg, train_cfg)
-    _check_widths(train_samples, model_cfg)
-    _check_eval_inputs(val_samples, model_cfg, [None])
-    # Training runs on segments of at most segment_length steps: reject any
-    # that exceed max_steps before the first epoch.
-    lengths = [(min(s.n_steps, train_cfg.segment_length), s) for s in train_samples]
-    n_steps, longest = max(lengths, key=lambda pair: pair[0])
-    if n_steps > model_cfg.max_steps:
-        raise CapacityError(
-            f"sample {longest.sample_id}: sequence of {n_steps} steps exceeds "
-            f"max_steps={model_cfg.max_steps}"
-        )
+    segments = segment_samples(train_samples, train_cfg.segment_length, train_cfg.segment_hop)
+    _check_inputs(segments, model_cfg, [None])
+    _check_inputs(val_samples, model_cfg, [None])
 
     rng = Rng(train_cfg.seed)
     model = EmotionRegressor(model_cfg, rng.child("init"))
     dropout_rng = rng.child("dropout")
     eliminate_rng = rng.child("eliminate")
     norm_stats = compute_norm_stats(train_samples, model_cfg.modalities)
-    segments = segment_samples(train_samples, train_cfg.segment_length, train_cfg.segment_hop)
     params = model.parameters()
     optimizer = AdamOptimizer(
         params, train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2,
@@ -385,7 +388,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
             features = normalize_features(features, norm_stats)
             if policy is not None:
                 removed = policy.sample(eliminate_rng)
-                features = policy.applied_to(features, removed)
+                features = _restrict(features, [m for m in features if m != removed])
             optimizer.zero_grad()
             with Tape() as tape:
                 preds, _, _ = model.forward(features, rng=dropout_rng)
@@ -459,13 +462,6 @@ def ablation_study(model: EmotionRegressor, samples, norm_stats: dict) -> Ablati
     results = _evaluate_subsets(model, samples, norm_stats, keeps)
     importance = results[-1].importance  # the last subset is the full set
     return AblationReport(subsets=dict(zip(keeps, results)), importance=importance)
-
-
-def dominant_modality(importance: dict) -> str:
-    """The modality drawing the most cross-attention weight."""
-    if not importance:
-        raise InsufficientDataError("empty importance mapping")
-    return max(sorted(importance), key=lambda m: importance[m])
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +549,7 @@ def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dic
     conditions = [("all", None)] + [
         (f"no_{m}", tuple(x for x in mods if x != m)) for m in mods
     ]
-    _check_eval_inputs(datasets["test"], model_cfg, [keep for _, keep in conditions])
+    _check_inputs(datasets["test"], model_cfg, [keep for _, keep in conditions])
     variants = {"standard": {}, "robust": dict(train_cfg.elimination)}
     values = {}  # (variant, condition, metric) -> list over seeds
     for variant, policy in variants.items():

@@ -341,7 +341,8 @@ def test_criterion_2_architecture_invariants():
         cfg, rng = _random_config(i)
         model = EmotionRegressor(cfg, Rng(3000 + i))
         reach = cfg.enc_layers * cfg.mask_length
-        rfield = model.conv[cfg.modalities[0]].receptive_field
+        # The conv front's receptive field (``layers.CausalConvStack``).
+        rfield = 1 + (cfg.conv_kernel - 1) * (2**cfg.conv_layers - 1)
         n_steps = reach + rfield + 6
         batch = 2
         features = {

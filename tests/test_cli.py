@@ -347,6 +347,28 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "test000" in err and "'audio'" in err
 
+    @pytest.mark.parametrize("command", [["eval"], ["ablate"], ["trace", "--sample", "test000"]])
+    @pytest.mark.parametrize("name, message", [
+        ("labels.csv", "sample test000: labels up to 1e+300 are too large to score"),
+        ("audio.csv", "sample test000: non-finite predictions from audio"),
+    ], ids=["labels", "features"])
+    def test_value_too_large_to_score_is_named(self, run_dir, dataset, tmp_path, capsys,
+                                               command, name, message):
+        # Finite values that overflow the model or the metrics: once scored
+        # as an inf RMSE or NaN CCC with exit 0.
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "test" / "test000" / name
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0] + ",1e300" + "".join(
+            "," + x for x in lines[1].split(",")[2:])
+        path.write_text("\n".join(lines) + "\n")
+        rc = main([*command, "--model", str(run_dir / "model.ckpt"), "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        last = capsys.readouterr().err.splitlines()[-1]  # after any numpy overflow warning
+        assert last.startswith("error: ") and message in last
+
 
     @pytest.mark.parametrize("command", [["eval"], ["ablate"]])
     def test_sequence_over_max_steps_is_named(self, run_dir, dataset, workspace, capsys,

@@ -52,10 +52,6 @@ class TestCausalConvStack:
         stack = ly.CausalConvStack(4, 4, 2, 3, Rng(3))
         assert stack.res_proj is None
 
-    def test_receptive_field(self):
-        stack = ly.CausalConvStack(1, 4, n_layers=6, kernel_size=9, rng=Rng(4))
-        assert stack.receptive_field == 1 + 8 * (2**6 - 1)
-
     def test_stack_is_causal(self):
         rng = Rng(5)
         stack = ly.CausalConvStack(2, 4, 3, 3, rng)

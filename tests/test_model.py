@@ -396,7 +396,7 @@ class TestFullModelGradient:
         assert Counter(name for _, _, name in tape._nodes) == Counter(
             add=7, add_norm=2, causal_conv_block=4, concat=1, decoder=1, div=1,
             feed_forward=2, getitem=4, linear=6, local_attention=1, mean=4, mul=4,
-            reshape=6, sub=3,
+            reshape=4, sub=3,
         )
 
 
@@ -482,9 +482,3 @@ class TestCheckpoint:
         assert list(model.parameters()) == expected
         layer = [n for n in expected if n.startswith("decoder.0.")]
         assert list(model.decoder[0].parameters("decoder.0")) == layer
-
-    def test_parameter_count(self):
-        model = EmotionRegressor(tiny_config(), Rng(21))
-        n = model.n_parameters()
-        assert n == sum(p.data.size for p in model.parameters().values())
-        assert n > 0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from emoreg.data import SynthConfig, synth_generate
+from emoreg.data import EliminationPolicy, SynthConfig, synth_generate
 from emoreg.errors import (
     CapacityError,
     ConfigError,
@@ -27,7 +27,6 @@ from emoreg.train import (
     PlateauScheduler,
     TrainConfig,
     ablation_study,
-    dominant_modality,
     evaluate,
     experiment_run,
     linear_baseline_ccc,
@@ -265,14 +264,23 @@ class TestTrainRun:
                 data["train"], data["val"],
             )
 
-    def test_elimination_training_runs(self):
+    def test_elimination_training_runs(self, monkeypatch):
+        # Each batch loses exactly the modality its draw names, if any.
+        missing, forward = [], EmotionRegressor.forward
+
+        def recording(model, features, rng=None):
+            missing.append([m for m, x in features.items() if x is None])
+            return forward(model, features, rng)
+
+        monkeypatch.setattr(EmotionRegressor, "forward", recording)
         data = tiny_data(seed=7)
-        res = train_run(
-            tiny_model_config(),
-            tiny_train_config(epochs=3, elimination={"audio": 0.5}),
-            data["train"], data["val"],
-        )
+        cfg = tiny_train_config(epochs=3, elimination={"audio": 0.5})
+        res = train_run(tiny_model_config(), cfg, data["train"], data["val"])
         assert len(res.history.epochs) == 3
+        policy, rng = EliminationPolicy(cfg.elimination), Rng(cfg.seed).child("eliminate")
+        draws = [policy.sample(rng) for _ in missing]
+        assert missing == [[m] if m else [] for m in draws]
+        assert ["audio"] in missing and [] in missing
 
     def test_empty_splits_rejected(self):
         data = tiny_data(seed=8)
@@ -520,6 +528,28 @@ class TestAblation:
         for m, w in full.importance.items():
             assert report.importance[m] == pytest.approx(w, rel=1e-12)
 
+    def test_row_cap_changes_no_result(self, monkeypatch):
+        # At EVAL_ROWS = 2 every stack is cut, and chunks mix availability
+        # patterns; predictions and importance stay byte-identical, and no
+        # decode holds more than the cap.
+        data = tiny_data(seed=10, n_test=3)
+        model_cfg = tiny_model_config()
+        model = EmotionRegressor(model_cfg, Rng(1))
+        from emoreg.data import compute_norm_stats
+
+        stats = compute_norm_stats(data["train"], model_cfg.modalities)
+        want = ablation_study(model, data["test"], stats)
+        rows, decode = [], model.decode
+        monkeypatch.setattr(model, "decode", lambda enc: rows.append(len(enc.data)) or decode(enc))
+        monkeypatch.setattr(train_module, "EVAL_ROWS", 2)
+        got = ablation_study(model, data["test"], stats)
+        assert max(rows) == 2 and sum(rows) == 7 * len(data["test"])
+        assert got.to_dict() == want.to_dict()
+        for keep, ev in want.subsets.items():
+            assert ev.importance == got.subsets[keep].importance
+            for sid, pred in ev.predictions.items():
+                assert got.subsets[keep].predictions[sid].tobytes() == pred.tobytes()
+
     def test_sample_without_a_subset_named(self):
         data = tiny_data(seed=10)
         model_cfg = tiny_model_config()
@@ -532,13 +562,6 @@ class TestAblation:
         with pytest.raises(NoModalityError,
                            match=rf"sample {samples[1].sample_id} has none of the modalities text$"):
             ablation_study(model, samples, stats)
-
-    def test_dominant_modality(self):
-        assert dominant_modality({"a": 0.2, "b": 0.5, "c": 0.3}) == "b"
-        # Deterministic tie-break by name.
-        assert dominant_modality({"b": 0.5, "a": 0.5}) == "a"
-        with pytest.raises(InsufficientDataError):
-            dominant_modality({})
 
 
 class TestExperiment:
