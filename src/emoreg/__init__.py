@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DataLoadError,
-    DegenerateTestError,
     EmoregError,
     InsufficientDataError,
     NoModalityError,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictconfig import DictConfig, check_int
-from .errors import ConfigError, ContractError, DataLoadError, InsufficientDataError
+from .errors import ConfigError, ContractError, DataLoadError, InsufficientDataError, NumericError
 from .tensor import Rng
 
 STEP_SECONDS = 0.5
@@ -324,15 +324,22 @@ def load_dataset(root, split: str, modalities) -> list:
 
 def compute_norm_stats(samples, modalities) -> dict:
     """Per-modality feature mean/std over all present streams (flat keys
-    "<modality>.mean" / "<modality>.std")."""
+    "<modality>.mean" / "<modality>.std"); values too large for them raise
+    ``NumericError``."""
     stats = {}
     for m in modalities:
-        chunks = [s.features[m] for s in samples if s.features.get(m) is not None]
-        if not chunks:
+        present = [s for s in samples if s.features.get(m) is not None]
+        if not present:
             raise InsufficientDataError(f"no sample provides modality {m!r}")
-        x = np.concatenate(chunks, axis=0)
-        stats[f"{m}.mean"] = x.mean(axis=0)
-        stats[f"{m}.std"] = np.maximum(x.std(axis=0), 1e-8)
+        x = np.concatenate([s.features[m] for s in present], axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = x.mean(axis=0), x.std(axis=0)
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            top, sid = max((np.abs(s.features[m]).max(), s.sample_id) for s in present)
+            raise NumericError(f"sample {sid}: modality {m!r} features up to {float(top)!r} "
+                               "are too large to normalise")
+        stats[f"{m}.mean"] = mean
+        stats[f"{m}.std"] = np.maximum(std, 1e-8)
     return stats
 
 
@@ -347,21 +354,16 @@ def normalize_features(features: dict, stats: dict) -> dict:
 
 
 def segment_samples(samples, length: int, hop: int) -> list:
-    """Cut each sample into overlapping windows of ``length`` every ``hop``
-    steps.  Samples shorter than ``length`` yield one full-sample segment.
-    Each window is a ``MultimodalSample`` whose arrays are views of its
-    source's, so it must never be modified in place."""
+    """Cut each sample into overlapping windows of ``min(length, n_steps)``
+    steps every ``hop`` steps, so a sample no longer than ``length`` is one
+    full-sample segment.  Each window is a ``MultimodalSample`` whose arrays
+    are views of its source's, so it must never be modified in place."""
     if length < 1 or hop < 1:
         raise ConfigError(f"segment length and hop must be >= 1, got {length}/{hop}")
     segments = []
     for s in samples:
-        if s.n_steps <= length:
-            starts = [0]
-            seg_len = s.n_steps
-        else:
-            starts = list(range(0, s.n_steps - length + 1, hop))
-            seg_len = length
-        for start in starts:
+        seg_len = min(length, s.n_steps)
+        for start in range(0, s.n_steps - seg_len + 1, hop):
             sl = slice(start, start + seg_len)
             segments.append(
                 MultimodalSample(

@@ -29,10 +29,6 @@ class InsufficientDataError(EmoregError):
     """Too few observations for the requested statistic."""
 
 
-class DegenerateTestError(EmoregError):
-    """A statistical test is undefined for the given samples."""
-
-
 class CapacityError(EmoregError):
     """A sequence exceeds the configured maximum length."""
 

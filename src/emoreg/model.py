@@ -137,32 +137,26 @@ class EmotionRegressor(Module):
     # ------------------------------------------------------------------
     # Encoder
 
-    def available_modalities(self, features: dict) -> list:
-        present = [m for m in self.config.modalities if features.get(m) is not None]
-        if not present:
-            raise NoModalityError("no modality streams available")
-        return present
-
     def encode(self, features: dict, rng: Rng | None = None) -> tuple:
         """Encode available modalities into [batch, steps, n_present, width].
 
         ``features`` maps modality name -> array [batch, steps, feat] (absent
         or None entries are treated as missing).  Returns the grouped encoder
         output and the list of modality names actually used, in config order.
-        A sequence longer than ``max_steps`` raises ``CapacityError``; an
-        empty batch, zero steps or modalities that disagree on either raise
-        ``ShapeError``.
+        Every stream is checked before any is embedded: a wrong rank or width,
+        an empty batch, zero steps or streams that disagree on either raise
+        ``ShapeError``, then a sequence longer than ``max_steps`` raises
+        ``CapacityError``.  The modalities share one positional slice.
         """
         c = self.config
-        present = self.available_modalities(features)
-        n_steps = None
-        tokens = []
+        present = [m for m in c.modalities if features.get(m) is not None]
+        if not present:
+            raise NoModalityError("no modality streams available")
+        streams = []
         for m in present:
             x = np.asarray(features[m], dtype=np.float64)
             if x.ndim != 3:
-                raise ShapeError(
-                    f"modality {m!r} must be [batch, steps, feat], got {x.shape}"
-                )
+                raise ShapeError(f"modality {m!r} must be [batch, steps, feat], got {x.shape}")
             if x.shape[-1] != c.modality_widths[m]:
                 raise ShapeError(
                     f"modality {m!r} has width {x.shape[-1]}, expected "
@@ -170,21 +164,20 @@ class EmotionRegressor(Module):
                 )
             if 0 in x.shape:
                 raise ShapeError(f"modality {m!r} has an empty batch or no steps: {x.shape}")
-            if n_steps is None:
-                batch, n_steps = x.shape[:2]
-                if n_steps > c.max_steps:
-                    raise CapacityError(
-                        f"sequence of {n_steps} steps exceeds max_steps={c.max_steps}"
-                    )
-            elif x.shape[1] != n_steps:
+            if streams and x.shape[1] != streams[0].shape[1]:
                 raise ShapeError("modalities disagree on sequence length")
-            elif x.shape[0] != batch:
+            if streams and x.shape[0] != streams[0].shape[0]:
                 raise ShapeError("modalities disagree on batch size")
-            front = self.conv[m](Tensor(x), rng)
-            mi = c.modalities.index(m)
-            tokens.append(
-                front + self.enc_positions.rows(0, n_steps) + self.modality_codes.rows(mi, 1)
-            )
+            streams.append(x)
+        batch, n_steps = streams[0].shape[:2]
+        if n_steps > c.max_steps:
+            raise CapacityError(f"sequence of {n_steps} steps exceeds max_steps={c.max_steps}")
+        positions = self.enc_positions.rows(0, n_steps)
+        tokens = [
+            self.conv[m](Tensor(x), rng) + positions
+            + self.modality_codes.rows(c.modalities.index(m), 1)
+            for m, x in zip(present, streams)
+        ]
         # Time-major token sequence [batch, steps * n_present, width]: joined
         # on the last axis, the M tokens of step t sit at [t*M, (t+1)*M), so
         # the band is contiguous.

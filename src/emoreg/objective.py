@@ -7,8 +7,8 @@ penalizes scale and offset errors, so optimizing it pushes predictions onto
 the identity line rather than just onto *some* line.  The metric ``ccc`` and
 the loss ``ccc_loss`` share one formula, ``_ccc_rows``.
 
-Multi-seed comparisons use Welch's unequal-variance t-test with
-Holm-Bonferroni correction across each family of hypotheses.
+Multi-seed comparisons use Welch's unequal-variance t-test (two constant,
+equal groups give t = 0, p = 1) with Holm-Bonferroni correction per family.
 """
 
 from __future__ import annotations
@@ -20,44 +20,45 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import tensor as tz
-from .errors import (
-    ContractError,
-    DegenerateTestError,
-    InsufficientDataError,
-    ShapeError,
-)
+from .errors import ContractError, InsufficientDataError, ShapeError
 from .tensor import Tensor
 
 CCC_EPS = 1e-8
 
 
-def ccc(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Concordance correlation: 2*cov / (var_p + var_t + (mu_p - mu_t)^2)."""
+def _metric_args(name: str, pred, truth) -> tuple:
+    """``pred`` and ``truth`` as flat float64 arrays of one non-zero length."""
     pred = np.asarray(pred, dtype=np.float64).reshape(-1)
     truth = np.asarray(truth, dtype=np.float64).reshape(-1)
     if pred.shape != truth.shape:
-        raise ShapeError(f"ccc length mismatch: {pred.shape} vs {truth.shape}")
+        raise ShapeError(f"{name} length mismatch: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
-        raise InsufficientDataError("ccc of empty sequences")
+        raise InsufficientDataError(f"{name} of empty sequences")
+    return pred, truth
+
+
+def ccc(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Concordance correlation: 2*cov / (var_p + var_t + (mu_p - mu_t)^2)."""
+    pred, truth = _metric_args("ccc", pred, truth)
     return float(_ccc_rows(Tensor(pred), truth).data)
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    truth = np.asarray(truth, dtype=np.float64).reshape(-1)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"rmse length mismatch: {pred.shape} vs {truth.shape}")
-    if pred.size == 0:
-        raise InsufficientDataError("rmse of empty sequences")
+    pred, truth = _metric_args("rmse", pred, truth)
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
+
+
+def truth_moments(truth: np.ndarray) -> tuple:
+    """CCC's truth-side terms over the last axis: mean (axis kept), deviations, variance."""
+    mt = truth.mean(axis=-1, keepdims=True)
+    dt = truth - mt
+    return mt, dt, (dt * dt).mean(axis=-1)
 
 
 def _ccc_rows(pred: Tensor, truth: np.ndarray) -> Tensor:
     """CCC of each row of ``pred`` against ``truth``'s, over the last axis; the
     truth-side moments are constants, so only prediction statistics are taped."""
-    mt = truth.mean(axis=-1, keepdims=True)
-    dt = truth - mt
-    vt = (dt * dt).mean(axis=-1)
+    mt, dt, vt = truth_moments(truth)
     mp = tz.tmean(pred, axis=-1, keepdims=True)
     dp = pred - mp
     cov = tz.tmean(dp * Tensor(dt), axis=-1)
@@ -117,7 +118,8 @@ def welch_t_test(a, b, alternative: str = "two-sided") -> StatTestResult:
 
     ``alternative`` is "two-sided", "less" (H1: mean a < mean b) or "greater"
     (H1: mean a > mean b).  Uses the Welch-Satterthwaite degrees of freedom
-    and the Student-t CDF for the p-value.
+    and the Student-t CDF for the p-value; two constant, equal groups give
+    t = 0, p = 1 under every alternative and na + nb - 2 degrees of freedom.
     """
     if alternative not in ("two-sided", "less", "greater"):
         raise ContractError(f"unknown alternative {alternative!r}")
@@ -135,9 +137,7 @@ def welch_t_test(a, b, alternative: str = "two-sided") -> StatTestResult:
         # Zero spread in both groups: identical means carry no evidence
         # either way; distinct means are unambiguous at any level.
         if gap == 0.0:
-            raise DegenerateTestError(
-                "welch t-test degenerate: both groups constant and equal"
-            )
+            return StatTestResult(0.0, float(na + nb - 2), 1.0, alternative)
         t = math.inf if gap > 0 else -math.inf
         dof = float(na + nb - 2)
     else:

@@ -35,7 +35,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     ContractError,
-    DegenerateTestError,
     InsufficientDataError,
     NoModalityError,
     NumericError,
@@ -206,11 +205,17 @@ def _restrict(features: dict, keep) -> dict:
     return {m: (x if m in keep else None) for m, x in features.items()}
 
 
+def _unscorable(sample) -> NumericError:
+    return NumericError(f"sample {sample.sample_id}: labels up to "
+                        f"{float(np.abs(sample.labels).max())!r} are too large to score")
+
+
 def _check_inputs(samples, config: ModelConfig, subsets):
     """Check ``samples`` can be run under every entry of ``subsets`` before
     any work is done: the list is not empty, every stream has the width
-    ``config`` gives it, no sample is longer than ``max_steps`` and every
-    sample keeps at least one modality under every subset."""
+    ``config`` gives it, no sample is longer than ``max_steps``, every
+    sample's labels give finite CCC terms and every sample keeps at least one
+    modality under every subset."""
     if not samples:
         raise InsufficientDataError("evaluate called with no samples")
     for s in samples:
@@ -226,6 +231,10 @@ def _check_inputs(samples, config: ModelConfig, subsets):
                 f"sample {s.sample_id}: sequence of {s.n_steps} steps exceeds "
                 f"max_steps={config.max_steps}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            mt, _, vt = ob.truth_moments(s.labels)
+            if not np.isfinite(mt * mt + vt).all():
+                raise _unscorable(s)
     for keep in subsets:
         for s in samples:
             feats = _restrict(s.features, keep)
@@ -234,6 +243,7 @@ def _check_inputs(samples, config: ModelConfig, subsets):
                                       f"{'+'.join(keep or config.modalities)}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # predictions and scores are checked
 def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets) -> list:
     """One ``EvalResult`` per entry of ``subsets`` (``use_modalities`` values).
 
@@ -287,9 +297,7 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
         importance = {m: sum(ws) / len(ws) for m, ws in weights.items()}
         ccc, rmse = ob.ccc(flat, truth), ob.rmse(flat, truth)
         if not np.isfinite([ccc, rmse]).all():  # the predictions are finite
-            worst = max(ordered, key=lambda s: np.abs(s.labels).max())
-            raise NumericError(f"sample {worst.sample_id}: labels up to "
-                               f"{float(np.abs(worst.labels).max())!r} are too large to score")
+            raise _unscorable(max(ordered, key=lambda s: np.abs(s.labels).max()))
         results.append(EvalResult(
             ccc=ccc,
             rmse=rmse,
@@ -357,12 +365,12 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
     segments = segment_samples(train_samples, train_cfg.segment_length, train_cfg.segment_hop)
     _check_inputs(segments, model_cfg, [None])
     _check_inputs(val_samples, model_cfg, [None])
+    norm_stats = compute_norm_stats(train_samples, model_cfg.modalities)
 
     rng = Rng(train_cfg.seed)
     model = EmotionRegressor(model_cfg, rng.child("init"))
     dropout_rng = rng.child("dropout")
     eliminate_rng = rng.child("eliminate")
-    norm_stats = compute_norm_stats(train_samples, model_cfg.modalities)
     params = model.parameters()
     optimizer = AdamOptimizer(
         params, train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2,
@@ -390,12 +398,13 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
                 removed = policy.sample(eliminate_rng)
                 features = _restrict(features, [m for m in features if m != removed])
             optimizer.zero_grad()
-            with Tape() as tape:
-                preds, _, _ = model.forward(features, rng=dropout_rng)
-                loss = ccc_loss(preds, labels)
-            if not loss.is_finite():
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
-            tape.backward(loss)
+            with np.errstate(over="ignore", invalid="ignore"):  # both checked here
+                with Tape() as tape:
+                    preds, _, _ = model.forward(features, rng=dropout_rng)
+                    loss = ccc_loss(preds, labels)
+                if not loss.is_finite():
+                    raise NumericError(f"non-finite training loss at epoch {epoch}")
+                tape.backward(loss)
             optimizer.step()
             losses.append(loss.item())
         val = evaluate(model, val_samples, norm_stats)
@@ -514,15 +523,6 @@ class ExperimentReport:
         }
 
 
-def _safe_welch(a, b, alternative: str):
-    """Welch test that treats a fully degenerate comparison as no evidence."""
-    try:
-        r = welch_t_test(a, b, alternative)
-        return r.statistic, r.p_value
-    except DegenerateTestError:
-        return 0.0, 1.0
-
-
 def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dict,
                    seeds, alpha: float = 0.05, log=None) -> ExperimentReport:
     """Train standard and elimination-trained variants across seeds and
@@ -572,25 +572,25 @@ def experiment_run(model_cfg: ModelConfig, train_cfg: TrainConfig, datasets: dic
     comparisons = []
     for cond_name, _ in conditions:
         for metric, alternative in (("ccc", "greater"), ("rmse", "less")):
-            stat, p = _safe_welch(
+            r = welch_t_test(
                 values[("robust", cond_name, metric)],
                 values[("standard", cond_name, metric)],
                 alternative,
             )
             comparisons.append(
                 Comparison("robustness", f"robust vs standard, {cond_name}",
-                           metric, alternative, stat, p)
+                           metric, alternative, r.statistic, r.p_value)
             )
     for variant in variants:
         for cond_name, keep in conditions[1:]:
-            stat, p = _safe_welch(
+            r = welch_t_test(
                 values[(variant, cond_name, "ccc")],
                 values[(variant, "all", "ccc")],
                 "two-sided",
             )
             comparisons.append(
                 Comparison("degradation", f"{variant}: {cond_name} vs all",
-                           "ccc", "two-sided", stat, p)
+                           "ccc", "two-sided", r.statistic, r.p_value)
             )
     for family in ("robustness", "degradation"):
         members = [c for c in comparisons if c.family == family]

@@ -52,6 +52,16 @@ train.seed = 1
 """
 
 
+def _set_cell(path, row: int, value: str):
+    """Write ``value`` into the first value column of data row ``row`` of a
+    CSV file."""
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[1] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -240,6 +250,31 @@ class TestTrain:
         assert main(args + ["--force"]) == 1
         assert (out / "keep.txt").read_text() == "mine"
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("path, message", [
+        ("train/train000/labels.csv", "sample train000: labels up to 1e+300 are too large"),
+        ("val/val001/labels.csv", "sample val001: labels up to 1e+300 are too large"),
+        ("train/train001/video.csv",
+         "sample train001: modality 'video' features up to 1e+300 are too large to normalise"),
+    ], ids=["train-label", "val-label", "train-feature"])
+    def test_value_too_large_to_train_is_named(self, dataset, tmp_path, capsys, command,
+                                               path, message):
+        # Once a training label of 1e300 trained and exited 0, and a training
+        # feature of 1e300 wrote an inf std no eval would accept.
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        _set_cell(data / path, 2, "1e300")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TRAIN_CFG.replace("train.epochs = 4", "train.epochs = 1")
+                       + "eliminate.audio = 0.3\n")
+        out = tmp_path / "out"
+        rc = main([command, "--data", str(data), "--out", str(out), "--config", str(cfg),
+                   "--quiet", *(["--seeds", "0,1"] if command == "experiment" else [])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_rejected_run_leaves_forced_manifest_untouched(self, dataset, workspace, capsys):
         # 40-step training segments exceed max_steps: train_run rejects the
         # run, and the earlier run's manifest must survive it.
@@ -358,16 +393,12 @@ class TestEval:
         # as an inf RMSE or NaN CCC with exit 0.
         data = tmp_path / "data"
         shutil.copytree(dataset, data)
-        path = data / "test" / "test000" / name
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].split(",")[0] + ",1e300" + "".join(
-            "," + x for x in lines[1].split(",")[2:])
-        path.write_text("\n".join(lines) + "\n")
+        _set_cell(data / "test" / "test000" / name, 1, "1e300")
         rc = main([*command, "--model", str(run_dir / "model.ckpt"), "--data", str(data),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
-        last = capsys.readouterr().err.splitlines()[-1]  # after any numpy overflow warning
-        assert last.startswith("error: ") and message in last
+        err = capsys.readouterr().err  # the error alone: no numpy warning ahead of it
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
     @pytest.mark.parametrize("command", [["eval"], ["ablate"]])

@@ -295,14 +295,19 @@ class TestSegmentation:
         assert segs[0].n_steps == 30
 
     def test_segment_content_matches_source(self):
+        # An 80-step sample against windows shorter than it, as long as it
+        # and longer than it: a window is min(length, 80) steps.
         data = synth_generate(small_synth(), seed=11)
         s = data["train"][0]
-        segs = segment_samples([s], 32, 16)
-        for seg in segs:
-            start = int(seg.timestamps[0] / STEP_SECONDS)
-            sl = slice(start, start + 32)
-            np.testing.assert_array_equal(seg.labels, s.labels[sl])
-            np.testing.assert_array_equal(seg.features["audio"], s.features["audio"][sl])
+        for length, hop, starts in ((32, 16, [0, 16, 32, 48]), (80, 10, [0]), (100, 10, [0])):
+            segs = segment_samples([s], length, hop)
+            assert [int(seg.timestamps[0] / STEP_SECONDS) for seg in segs] == starts
+            for seg in segs:
+                start = int(seg.timestamps[0] / STEP_SECONDS)
+                sl = slice(start, start + min(length, 80))
+                assert seg.n_steps == min(length, 80)
+                np.testing.assert_array_equal(seg.labels, s.labels[sl])
+                np.testing.assert_array_equal(seg.features["audio"], s.features["audio"][sl])
 
     def test_segments_are_views_of_the_source(self):
         # A segment is a MultimodalSample whose arrays alias the source's:

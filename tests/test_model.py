@@ -16,6 +16,7 @@ from emoreg.errors import (
     NoModalityError,
     ShapeError,
 )
+from emoreg.layers import CausalConvStack
 from emoreg.model import (
     EmotionRegressor,
     ModelConfig,
@@ -146,6 +147,18 @@ class TestForward:
                 self.model.forward({"a": np.ones(shape)})
         with pytest.raises(ShapeError):
             self.model.forward({"a": np.ones((1, 4, 3)), "b": np.ones((2, 4, 2))})
+
+    def test_every_stream_is_checked_before_any_is_embedded(self, monkeypatch):
+        # A malformed second stream is found before the first one's conv
+        # front runs, and ahead of the first one's capacity error.
+        embedded = []
+        conv = CausalConvStack.__call__
+        monkeypatch.setattr(CausalConvStack, "__call__",
+                            lambda self, *args: embedded.append(self) or conv(self, *args))
+        for steps in (4, 65):
+            with pytest.raises(ShapeError, match="'b' has width 3"):
+                self.model.encode({"a": np.ones((1, steps, 3)), "b": np.ones((1, steps, 3))})
+        assert embedded == []
 
     def test_decode_rejects_misshaped_encodings(self):
         for shape in ((2, 5, 8), (2, 5, 2, 7), (0, 5, 2, 8), (2, 0, 2, 8), (2, 5, 0, 8)):
@@ -395,7 +408,7 @@ class TestFullModelGradient:
             ccc_loss(preds, rng.normal(0.0, 1.0, (2, 4)))
         assert Counter(name for _, _, name in tape._nodes) == Counter(
             add=7, add_norm=2, causal_conv_block=4, concat=1, decoder=1, div=1,
-            feed_forward=2, getitem=4, linear=6, local_attention=1, mean=4, mul=4,
+            feed_forward=2, getitem=3, linear=6, local_attention=1, mean=4, mul=4,
             reshape=4, sub=3,
         )
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from emoreg import objective as ob
-from emoreg.errors import (
-    ContractError,
-    DegenerateTestError,
-    InsufficientDataError,
-    ShapeError,
-)
+from emoreg.errors import ContractError, InsufficientDataError, ShapeError
 from emoreg.tensor import Rng, Tape, Tensor, finite_difference_check
 
 # Reference group comparison and its Welch statistics, frozen from
@@ -157,8 +152,10 @@ class TestWelch:
         assert r.p_value == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_constant_groups(self):
-        with pytest.raises(DegenerateTestError):
-            ob.welch_t_test([2.0, 2.0, 2.0], [2.0, 2.0])
+        # Constant, equal groups carry no evidence either way, one-sided too.
+        r = ob.welch_t_test([2.0, 2.0, 2.0], [2.0, 2.0])
+        assert (r.statistic, r.p_value, r.dof) == (0.0, 1.0, 3.0)
+        assert ob.welch_t_test([2.0, 2.0], [2.0, 2.0], "greater").p_value == 1.0
         r = ob.welch_t_test([3.0, 3.0], [2.0, 2.0, 2.0])
         assert r.statistic == np.inf
         assert r.p_value == 0.0

@@ -154,10 +154,43 @@ def test_csv_loader_returns_sample_or_named_error(sample_dir, name, blob):
 
 
 # ---------------------------------------------------------------------------
-# Whole datasets through the CLI: a mutated split either scores with finite
-# metrics or exits 1/2 with a message that names a mutated file or sample.
+# Whole datasets through the CLI: a mutated split either scores (or trains)
+# with finite results or exits 1/2 with a message that names a mutated file
+# or sample.
 
 FUZZ_MODALITIES = ("audio", "video")
+FUZZ_CONFIG = """\
+model.modalities = audio,video
+model.width.audio = 3
+model.width.video = 2
+model.d_model = 4
+model.enc_heads = 1
+model.enc_layers = 1
+model.dec_heads = 1
+model.dec_layers = 1
+model.conv_layers = 1
+model.conv_kernel = 2
+model.d_ffn = 4
+model.head_hidden = 2
+model.mask_length = 2
+model.dropout = 0.0
+model.max_steps = 16
+train.epochs = 1
+train.batch_size = 4
+train.segment_length = 8
+train.segment_hop = 4
+"""
+
+
+def _fuzz_samples(split: str, rng: Rng) -> list:
+    """Three valid 12-step samples named after ``split``."""
+    widths = {"audio": 3, "video": 2}
+    return [
+        MultimodalSample(f"{split}{i:03d}", np.arange(12) * 0.5,
+                         {m: rng.normal(0.0, 1.0, (12, w)) for m, w in widths.items()},
+                         rng.normal(0.0, 1.0, 12))
+        for i in range(3)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -165,20 +198,9 @@ def fuzz_split(tmp_path_factory):
     """(dataset root, checkpoint) of a valid three-sample test split and an
     untrained model whose norm stats come from that split."""
     root = tmp_path_factory.mktemp("fuzz")
-    rng = Rng(7)
-    widths = {"audio": 3, "video": 2}
-    samples = [
-        MultimodalSample(f"test{i:03d}", np.arange(12) * 0.5,
-                         {m: rng.normal(0.0, 1.0, (12, w)) for m, w in widths.items()},
-                         rng.normal(0.0, 1.0, 12))
-        for i in range(3)
-    ]
+    samples = _fuzz_samples("test", Rng(7))
     write_dataset(root / "data", "test", samples)
-    cfg = ModelConfig(
-        modalities=FUZZ_MODALITIES, modality_widths=widths, d_model=4, enc_heads=1,
-        enc_layers=1, dec_heads=1, dec_layers=1, conv_layers=1, conv_kernel=2, d_ffn=4,
-        head_hidden=2, mask_length=2, dropout=0.0, max_steps=16,
-    )
+    cfg, _ = read_config(parse_flat_config(FUZZ_CONFIG), ModelConfig, TrainConfig)
     stats = compute_norm_stats(samples, FUZZ_MODALITIES)
     ckpt = root / "model.ckpt"
     save_checkpoint(ckpt, {"model": cfg.to_dict()}, EmotionRegressor(cfg, Rng(0)).parameters(),
@@ -194,6 +216,8 @@ def _mutate(path, action: str, k: int):
         return
     lines = path.read_text().splitlines()
     header, rows = lines[0], lines[1:]
+    if not rows:  # emptied by an earlier mutation
+        return
     r = k % len(rows)
     if action == "drop_row":
         del rows[r]
@@ -219,11 +243,34 @@ FILE_MUTATIONS = st.sampled_from(
     ["delete", "drop_row", "truncate_row", "shift_timestamps", "add_column", "remove_column",
      "header_only", "nan", "inf", "-inf", "1e308", "-1e300", "1e200"]
 )
-MUTATIONS = st.lists(
-    st.tuples(st.integers(0, 2), st.sampled_from(("labels",) + FUZZ_MODALITIES),
-              st.one_of(FILE_MUTATIONS, st.just("delete_sample")), st.integers(0, 20)),
-    min_size=1, max_size=2,
-)
+MUTATION = st.tuples(st.integers(0, 2), st.sampled_from(("labels",) + FUZZ_MODALITIES),
+                     st.one_of(FILE_MUTATIONS, st.just("delete_sample")), st.integers(0, 20))
+MUTATIONS = st.lists(MUTATION, min_size=1, max_size=2)
+
+
+def _mutate_split(split_dir, mutations) -> set:
+    """Apply ``mutations`` to the samples of ``split_dir`` (``test000`` ... in
+    ``test``), skipping a file or sample an earlier one deleted; returns the
+    names of the samples they touched."""
+    named = set()
+    for index, name, action, k in mutations:
+        sample_dir = split_dir / f"{split_dir.name}{index:03d}"
+        if not sample_dir.exists():
+            continue
+        named.add(sample_dir.name)
+        if action == "delete_sample":
+            shutil.rmtree(sample_dir)
+        elif (sample_dir / f"{name}.csv").exists():
+            _mutate(sample_dir / f"{name}.csv", action, k)
+    return named
+
+
+def _cli(args) -> tuple:
+    """``(exit code, stderr)`` of ``main(args)``; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(args)
+    return rc, err.getvalue()
 
 
 def _finite_outputs(command: str, out) -> list:
@@ -246,28 +293,62 @@ def test_mutated_split_scores_or_names_the_fault(fuzz_split, tmp_path_factory, m
     pristine, ckpt = fuzz_split
     root = tmp_path_factory.mktemp("mutated") / "data"
     shutil.copytree(pristine, root)
-    named = set()
-    for index, name, action, k in mutations:
-        sample_dir = root / "test" / f"test{index:03d}"
-        if not sample_dir.exists():
-            continue
-        named.add(sample_dir.name)
-        if action == "delete_sample":
-            shutil.rmtree(sample_dir)
-        else:
-            _mutate(sample_dir / f"{name}.csv", action, k)
+    named = _mutate_split(root / "test", mutations)
     out = root.parent / "out"
     args = ["--model", str(ckpt), "--data", str(root), "--out", str(out)]
     if command == "trace":
         args += ["--sample", "test000"]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main([command] + args)
-    err = err.getvalue()
+    rc, err = _cli([command] + args)
     assert "Traceback" not in err, err
     if rc == 0:
         assert all(np.isfinite(_finite_outputs(command, out))), (mutations, command)
     else:
         assert rc in (1, 2), (rc, err)
         assert any(sid in err for sid in named), (mutations, command, err)
+    shutil.rmtree(root.parent)
+
+
+@pytest.fixture(scope="module")
+def training_split(tmp_path_factory):
+    """(dataset root, config file): valid three-sample train, val and test
+    splits, and a tiny model that trains for one epoch."""
+    root = tmp_path_factory.mktemp("train_fuzz")
+    rng = Rng(8)
+    for split in ("train", "val", "test"):
+        write_dataset(root / "data", split, _fuzz_samples(split, rng))
+    (root / "fuzz.cfg").write_text(FUZZ_CONFIG)
+    return root / "data", root / "fuzz.cfg"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(["train", "val"]), MUTATION),
+                          min_size=1, max_size=2))
+def test_mutated_training_split_trains_or_names_the_fault(training_split, tmp_path_factory,
+                                                          mutations):
+    # A run that trains must leave a finite history and a checkpoint that
+    # scores the pristine test split; one that fails names what it refused
+    # and leaves no run directory.
+    pristine, cfg = training_split
+    root = tmp_path_factory.mktemp("mutated") / "data"
+    shutil.copytree(pristine, root)
+    named = set()
+    for split, mutation in mutations:
+        named |= _mutate_split(root / split, [mutation])
+    run = root.parent / "run"
+    rc, err = _cli(["train", "--data", str(root), "--out", str(run), "--config", str(cfg),
+                    "--quiet"])
+    assert "Traceback" not in err, err
+    if rc == 0:
+        history = json.loads((run / "history.json").read_text())
+        assert np.isfinite([e[k] for e in history["epochs"] for k in ("train_loss", "val_ccc")]
+                           + [history["best_val_ccc"]]).all(), mutations
+        out = root.parent / "eval.json"
+        rc, err = _cli(["eval", "--model", str(run / "model.ckpt"), "--data", str(pristine),
+                        "--out", str(out)])
+        assert rc == 0, (mutations, err)
+        assert all(np.isfinite(_finite_outputs("eval", out))), mutations
+    else:
+        assert rc in (1, 2), (rc, err)
+        assert any(sid in err for sid in named), (mutations, err)
+        assert not run.exists()
     shutil.rmtree(root.parent)

@@ -446,9 +446,9 @@ class TestTape:
 
     def test_nonfinite_gradient_is_reported(self):
         x = Tensor(np.array([1e300, 1e300]), requires_grad=True)
-        with Tape() as tape:
-            y = x * x
-            loss = tz.tsum(y * y)  # overflows to inf
+        with pytest.warns(RuntimeWarning, match="overflow"), Tape() as tape:
+            y = x * x  # overflows to inf
+            loss = tz.tsum(y * y)
         with pytest.raises(NumericError, match="mul"):
             tape.backward(loss)
 
