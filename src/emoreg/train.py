@@ -10,6 +10,11 @@ Training and evaluation share one input check (``_check_inputs``, run before
 any work) and one modality mask (``_restrict``, for elimination draws and
 evaluation subsets alike).
 
+Evaluation cuts its work into chunks of at most ``EVAL_ROWS`` rows that share
+nothing, and runs them on the usable CPUs that BLAS leaves free: the caller
+runs one share and workers started with ``fork`` run the rest.  Predictions,
+scores and errors are the same at any CPU count.
+
 Experiments train both variants over many seeds, evaluate every
 missing-modality condition, and compare groups with Welch's t-test under
 Holm-Bonferroni correction.
@@ -17,6 +22,10 @@ Holm-Bonferroni correction.
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing as mp
+import os
+import signal
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 
@@ -243,14 +252,126 @@ def _check_inputs(samples, config: ModelConfig, subsets):
                                       f"{'+'.join(keep or config.modalities)}")
 
 
+def _openblas_threads() -> int:
+    """Most threads any OpenBLAS loaded in this process runs (found through
+    ``/proc/self/maps``); 1 where none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return 1
+    threads = 1
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if get is not None:
+                    threads = max(threads, get())
+    return threads
+
+
+def _process_slots() -> int:
+    """How many evaluation processes fit on the CPUs this process may use,
+    each running as many BLAS threads as this one.  OpenBLAS defaults to one
+    thread per CPU, and then the answer is 1: on a 2-CPU host, two processes
+    of two threads each took 1.7-4.7 s for the benchmark's ablation against
+    1.2-1.6 s for one, and fewer threads in a worker would change the floats.
+    Also 1 where the platform cannot tell, cannot fork, or this is a daemonic
+    process (which may not start children)."""
+    if (not hasattr(os, "sched_getaffinity") or "fork" not in mp.get_all_start_methods()
+            or mp.current_process().daemon):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // _openblas_threads())
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks the predictions
+def _run_chunk(model: EmotionRegressor, jobs, norm_stats: dict, chunk) -> tuple:
+    """Encode each availability-pattern group of ``chunk`` (sorted
+    ``(pattern, job index)`` pairs) as one normalised batch, stack the
+    encodings and decode them in one loop.  Returns predictions
+    ``[rows, T]``, importance ``[rows, n_mod]`` and the row map, one
+    ``(job index, present modalities)`` per row."""
+    mods = model.config.modalities
+    rows, parts = [], []
+    for pattern, group in groupby(chunk, key=lambda job: job[0]):
+        indices = [i for _, i in group]
+        batch = {m: np.stack([jobs[i][1][m] for i in indices]) if m in pattern else None
+                 for m in mods}
+        encoded, present = model.encode(normalize_features(batch, norm_stats))
+        parts.append(encoded.data)
+        rows += [(i, present) for i in indices]
+    stacked = Tensor(np.concatenate(parts))
+    del encoded, parts  # hold only the stacked copy while decoding
+    out, imp = model.decode(stacked)
+    return out.data, imp, rows
+
+
+def _chunk_worker(conn, model, jobs, norm_stats, chunks):
+    """Body of a forked evaluation worker: run ``chunks`` and send back their
+    results, or the exception that stopped them."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes Ctrl-C and ends its workers
+    try:
+        conn.send((True, [_run_chunk(model, jobs, norm_stats, c) for c in chunks]))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def _run_chunks(model, jobs, norm_stats, chunks, n_proc) -> list:
+    """``_run_chunk`` over ``chunks`` on ``n_proc`` processes, chunk k in
+    process k mod ``n_proc``: this process runs share 0 and ``n_proc - 1``
+    forked workers the rest (none at ``n_proc = 1``).  The workers inherit the
+    model, jobs and stats through the fork and send back only their results;
+    each is joined before this returns or raises."""
+    workers = []
+    try:
+        for w in range(1, n_proc):
+            ctx = mp.get_context("fork")  # only here: W = 1 runs where fork does not exist
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_chunk_worker, daemon=True,
+                               args=(send, model, jobs, norm_stats, chunks[w::n_proc]))
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        results = [None] * len(chunks)
+        results[::n_proc] = [_run_chunk(model, jobs, norm_stats, c) for c in chunks[::n_proc]]
+        for w, (proc, recv) in enumerate(workers, start=1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"evaluation worker exited with code {proc.exitcode} "
+                                   "before sending its results") from None
+            if not ok:
+                raise value
+            results[w::n_proc] = value
+        return results
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in workers:
+            recv.close()
+            proc.join()
+
+
 @np.errstate(over="ignore", invalid="ignore")  # predictions and scores are checked
 def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subsets) -> list:
     """One ``EvalResult`` per entry of ``subsets`` (``use_modalities`` values).
 
     Jobs (a sample under a subset) of one length and modality count, across
     subsets too, are stacked by availability pattern, then job, and cut into
-    chunks of at most ``EVAL_ROWS`` rows.  A chunk's jobs of one pattern are
-    normalised and encoded as one batch; the chunk is decoded in one loop.
+    chunks of at most ``EVAL_ROWS`` rows, each run by ``_run_chunk``.  The
+    chunks share nothing, so they run on W = min(chunks, ``_process_slots()``)
+    processes (``_run_chunks``); at W = 1 they all run here.  Finiteness is
+    checked and scores are computed here, in chunk order, so results and
+    errors do not depend on W.
     """
     mods = model.config.modalities
     ordered = sorted(samples, key=lambda s: s.sample_id)
@@ -260,31 +381,21 @@ def _evaluate_subsets(model: EmotionRegressor, samples, norm_stats: dict, subset
     for i, (s, feats) in enumerate(jobs):
         pattern = tuple(m for m in mods if feats.get(m) is not None)
         stacks.setdefault((s.n_steps, len(pattern)), []).append((pattern, i))
-    preds, imps = [None] * len(jobs), [None] * len(jobs)
+    chunks = []
     for _, stack in sorted(stacks.items()):
         stack.sort()
-        for lo in range(0, len(stack), EVAL_ROWS):
-            rows, parts = [], []
-            for pattern, group in groupby(stack[lo : lo + EVAL_ROWS], key=lambda job: job[0]):
-                indices = [i for _, i in group]
-                batch = {
-                    m: np.stack([jobs[i][1][m] for i in indices]) if m in pattern else None
-                    for m in mods
-                }
-                encoded, present = model.encode(normalize_features(batch, norm_stats))
-                parts.append(encoded.data)
-                rows += [(i, present) for i in indices]
-            stacked = Tensor(np.concatenate(parts))
-            del encoded, parts  # hold only the stacked copy while decoding,
-            out, imp = model.decode(stacked)
-            del stacked  # and none of it while encoding the next chunk
-            for r, (i, present) in enumerate(rows):
-                if not np.isfinite(out.data[r]).all():
-                    raise NumericError(f"sample {jobs[i][0].sample_id}: non-finite predictions "
-                                       f"from {'+'.join(present)}; are its features far "
-                                       "outside the training range?")
-                preds[i] = out.data[r]
-                imps[i] = dict(zip(present, imp[r]))
+        chunks += [stack[lo : lo + EVAL_ROWS] for lo in range(0, len(stack), EVAL_ROWS)]
+    n_proc = min(len(chunks), _process_slots()) if len(chunks) > 1 else 1  # one chunk: no probe
+    outputs = _run_chunks(model, jobs, norm_stats, chunks, n_proc)
+    preds, imps = [None] * len(jobs), [None] * len(jobs)
+    for out, imp, rows in outputs:
+        for r, (i, present) in enumerate(rows):
+            if not np.isfinite(out[r]).all():
+                raise NumericError(f"sample {jobs[i][0].sample_id}: non-finite predictions "
+                                   f"from {'+'.join(present)}; are its features far "
+                                   "outside the training range?")
+            preds[i] = out[r]
+            imps[i] = dict(zip(present, imp[r]))
     truth = np.concatenate([s.labels for s in ordered])
     results = []
     for lo in range(0, len(jobs), len(ordered)):

@@ -1,6 +1,10 @@
 """Tests for optimization, scheduling, training runs, and experiments."""
 
 import json
+import multiprocessing as mp
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +14,10 @@ from emoreg.errors import (
     CapacityError,
     ConfigError,
     ContractError,
+    EmoregError,
     InsufficientDataError,
     NoModalityError,
+    NumericError,
     ShapeError,
 )
 from emoreg.model import EmotionRegressor, ModelConfig
@@ -79,6 +85,17 @@ def tiny_data(seed=0, **synth_overrides):
     base = dict(n_train=3, n_val=2, n_test=2, n_steps=80)
     base.update(synth_overrides)
     return synth_generate(SynthConfig(**base), seed=seed)
+
+
+def _append_line(path, value):
+    """Append ``value`` as a line to ``path``: a record that calls made in
+    forked evaluation workers add to as well."""
+    with open(path, "a") as fh:
+        fh.write(f"{value}\n")
+
+
+def _lines(path) -> list:
+    return path.read_text().splitlines() if path.exists() else []
 
 
 class TestConfigs:
@@ -458,19 +475,20 @@ class TestEvaluate:
         with pytest.raises(InsufficientDataError):
             evaluate(self.model, [], self.stats)
 
-    def test_over_long_sample_named_before_any_encode(self, monkeypatch):
+    def test_over_long_sample_named_before_any_encode(self, monkeypatch, tmp_path):
         # The 80-step sample exceeds max_steps; the 40-step one would be
         # encoded first if the check waited for the stacking loop.
         self.setup()
         model = EmotionRegressor(tiny_model_config(max_steps=60), Rng(0))
-        encoded = []
-        monkeypatch.setattr(model, "encode", lambda batch: encoded.append(batch))
+        log = tmp_path / "encoded"
+        monkeypatch.setattr(model, "encode", lambda batch: _append_line(log, sorted(batch)))
         s = self.data["test"][1]
         short = type(s)("short", s.timestamps[:40],
                         {m: x[:40] for m, x in s.features.items()}, s.labels[:40])
         with pytest.raises(CapacityError, match=rf"^sample {s.sample_id}: sequence of 80 steps "
                                                 r"exceeds max_steps=60$"):
             evaluate(model, [short, s], self.stats)
+        encoded = _lines(log)
         assert encoded == []
 
     def test_sample_without_the_subset_named(self):
@@ -528,7 +546,7 @@ class TestAblation:
         for m, w in full.importance.items():
             assert report.importance[m] == pytest.approx(w, rel=1e-12)
 
-    def test_row_cap_changes_no_result(self, monkeypatch):
+    def test_row_cap_changes_no_result(self, monkeypatch, tmp_path):
         # At EVAL_ROWS = 2 every stack is cut, and chunks mix availability
         # patterns; predictions and importance stay byte-identical, and no
         # decode holds more than the cap.
@@ -539,10 +557,12 @@ class TestAblation:
 
         stats = compute_norm_stats(data["train"], model_cfg.modalities)
         want = ablation_study(model, data["test"], stats)
-        rows, decode = [], model.decode
-        monkeypatch.setattr(model, "decode", lambda enc: rows.append(len(enc.data)) or decode(enc))
+        log, decode = tmp_path / "rows", model.decode
+        monkeypatch.setattr(model, "decode",
+                            lambda enc: _append_line(log, len(enc.data)) or decode(enc))
         monkeypatch.setattr(train_module, "EVAL_ROWS", 2)
         got = ablation_study(model, data["test"], stats)
+        rows = [int(n) for n in _lines(log)]
         assert max(rows) == 2 and sum(rows) == 7 * len(data["test"])
         assert got.to_dict() == want.to_dict()
         for keep, ev in want.subsets.items():
@@ -562,6 +582,147 @@ class TestAblation:
         with pytest.raises(NoModalityError,
                            match=rf"sample {samples[1].sample_id} has none of the modalities text$"):
             ablation_study(model, samples, stats)
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
+class TestEvaluationProcesses:
+    """Evaluation chunks run on as many processes as there are usable CPUs;
+    the CPU probe is patched, so a 1-CPU machine runs forked workers too.
+    Each process appends its pid to a file on every decode."""
+
+    def setup(self, monkeypatch, tmp_path):
+        data = tiny_data(seed=10)
+        s0 = data["test"][0]
+        short = type(s0)("short", s0.timestamps[:60],
+                         {m: x[:60] for m, x in s0.features.items()}, s0.labels[:60])
+        self.samples = data["test"] + [short]
+        model_cfg = tiny_model_config()
+        self.model = EmotionRegressor(model_cfg, Rng(1))
+        from emoreg.data import compute_norm_stats
+
+        self.stats = compute_norm_stats(data["train"], model_cfg.modalities)
+        self.log, self.decode = tmp_path / "pids", self.model.decode
+        monkeypatch.setattr(self.model, "decode",
+                            lambda enc: _append_line(self.log, os.getpid()) or self.decode(enc))
+        monkeypatch.setattr(train_module, "EVAL_ROWS", 2)
+
+    def run_on(self, monkeypatch, cpus, fn):
+        """``fn()`` with ``cpus`` usable CPUs; returns its result (or the
+        exception it raised) and the pids that decoded."""
+        monkeypatch.setattr(train_module, "_process_slots", lambda: cpus)
+        self.log.unlink(missing_ok=True)
+        try:
+            result = fn()
+        except EmoregError as exc:
+            result = exc
+        assert mp.active_children() == []
+        return result, set(map(int, _lines(self.log)))
+
+    def test_results_do_not_depend_on_cpu_count(self, monkeypatch, tmp_path):
+        self.setup(monkeypatch, tmp_path)
+        reports = {}
+        for cpus in (1, 2, 3):
+            reports[cpus], pids = self.run_on(
+                monkeypatch, cpus, lambda: ablation_study(self.model, self.samples, self.stats))
+            assert len(pids) == cpus and os.getpid() in pids
+        want = reports[1]
+        for got in (reports[2], reports[3]):
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert got.importance == want.importance
+            for keep, ev in want.subsets.items():
+                assert got.subsets[keep].importance == ev.importance
+                for sid, pred in ev.predictions.items():
+                    assert got.subsets[keep].predictions[sid].tobytes() == pred.tobytes()
+
+    def test_non_finite_prediction_in_a_worker_named_as_in_process(self, monkeypatch, tmp_path):
+        # At 2 rows a chunk, the chunks are [short], [test000, test001] and
+        # [test002]; on two CPUs the middle one runs in the worker.  Both it
+        # and the caller's last chunk overflow: the first in chunk order is named.
+        self.setup(monkeypatch, tmp_path)
+        for s in self.samples:
+            if s.sample_id in ("test001", "test002"):
+                s.features["audio"][3, 0] = 1e300
+        errors = {}
+        for cpus in (1, 2):
+            errors[cpus], pids = self.run_on(
+                monkeypatch, cpus, lambda: evaluate(self.model, self.samples, self.stats))
+            assert len(pids) == cpus
+        for exc in errors.values():
+            assert isinstance(exc, NumericError)
+            assert str(exc).startswith("sample test001: non-finite predictions from "
+                                       "audio+video+text;")
+        assert str(errors[2]) == str(errors[1])
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_an_error_in_either_process_is_raised(self, monkeypatch, tmp_path, where):
+        self.setup(monkeypatch, tmp_path)
+        caller = os.getpid()
+
+        def decode(enc):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ShapeError(f"decode failed in the {where}")
+            return self.decode(enc)
+
+        monkeypatch.setattr(self.model, "decode", decode)
+        exc, _ = self.run_on(monkeypatch, 2,
+                             lambda: ablation_study(self.model, self.samples, self.stats))
+        assert isinstance(exc, ShapeError) and str(exc) == f"decode failed in the {where}"
+
+    def test_a_worker_that_dies_is_named(self, monkeypatch, tmp_path):
+        self.setup(monkeypatch, tmp_path)
+        caller = os.getpid()
+
+        def decode(enc):
+            if os.getpid() != caller:
+                os._exit(3)
+            return self.decode(enc)
+
+        monkeypatch.setattr(self.model, "decode", decode)
+        monkeypatch.setattr(train_module, "_process_slots", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"^evaluation worker exited with code 3 "
+                                               r"before sending its results$"):
+            ablation_study(self.model, self.samples, self.stats)
+        assert mp.active_children() == []
+
+    def test_a_pool_worker_evaluates_in_process(self, monkeypatch):
+        # A multiprocessing.Pool worker is daemonic and may not start
+        # children, so it runs every chunk itself even with CPUs to spare.
+        data = tiny_data(seed=10)
+        model_cfg = tiny_model_config()
+        model = EmotionRegressor(model_cfg, Rng(1))
+        from emoreg.data import compute_norm_stats
+
+        stats = compute_norm_stats(data["train"], model_cfg.modalities)
+        monkeypatch.setattr(train_module, "EVAL_ROWS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(train_module, "_openblas_threads", lambda: 1)
+        assert train_module._process_slots() == 2
+        with mp.get_context("fork").Pool(1) as pool:
+            got = pool.apply(ablation_study, (model, data["test"], stats))
+        assert got.to_dict() == ablation_study(model, data["test"], stats).to_dict()
+        assert mp.active_children() == []
+
+    @pytest.mark.parametrize("cpus, blas_threads, slots", [
+        (4, 1, 4), (4, 2, 2), (4, 3, 1), (2, 2, 1), (2, 4, 1),
+    ])
+    def test_blas_threads_share_the_cpus(self, monkeypatch, cpus, blas_threads, slots):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(train_module, "_openblas_threads", lambda: blas_threads)
+        assert train_module._process_slots() == slots
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_openblas_thread_count_is_read(self, threads):
+        with open("/proc/self/maps") as fh:
+            if not any("openblas" in line.lower() for line in fh):
+                pytest.skip("numpy does not use OpenBLAS here")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", "from emoreg import train; "
+                              "print(train._openblas_threads())"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        # OpenBLAS runs no more threads than there are CPUs.
+        assert int(out) == min(threads, len(os.sched_getaffinity(0)))
 
 
 class TestExperiment:
