@@ -96,7 +96,6 @@ class CausalConvStack(Module):
             raise ConfigError(f"kernel size must be >= 1, got {kernel_size}")
         self.kernels = []
         self.biases = []
-        self.dilations = []
         width = d_in
         for i in range(n_layers):
             fan_in, fan_out = kernel_size * width, kernel_size * d_model
@@ -104,15 +103,14 @@ class CausalConvStack(Module):
                 glorot_uniform((kernel_size, width, d_model), fan_in, fan_out, rng)
             )
             self.biases.append(Tensor(np.zeros(d_model), requires_grad=True))
-            self.dilations.append(2**i)
             width = d_model
         self.res_proj = Linear(d_in, d_model, rng) if d_in != d_model else None
         self.dropout_rate = dropout
 
     def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
         h, skip = x, (x if self.res_proj is None else self.res_proj(x))
-        for kernel, bias, dilation in zip(self.kernels, self.biases, self.dilations):
-            h = skip = tz.causal_conv_block(h, skip, kernel, bias, dilation, self.dropout_rate, rng)
+        for i, (kernel, bias) in enumerate(zip(self.kernels, self.biases)):
+            h = skip = tz.causal_conv_block(h, skip, kernel, bias, 2**i, self.dropout_rate, rng)
         return h
 
     def parameters(self, prefix: str) -> dict:

@@ -16,7 +16,10 @@ Every op makes its node the same way: it computes its output value, defines
 ``_node(name, value, inputs, bw)``, the one place a node is recorded.  An op
 checks ``_recording`` before its forward only to save state that evaluation
 must not pay for (``local_attention``'s weights, the conv block's mask, the
-decoder's per-step activations).
+decoder's per-step activations).  A backward accumulates through
+``_add_grad`` (reducing broadcast axes), ``_hand_over`` (a fresh array) or a
+slice of ``_grad(t)``, the one place a gradient buffer starts at zeros.
+``local_attention`` is the attention node; ``decoder`` reuses its kernels.
 
 Everything is float64: gradient checks against central finite differences at
 step 1e-5 only make sense at that precision.
@@ -198,9 +201,16 @@ def _add_grad(t: Tensor, g: np.ndarray):
         )
         if axes:
             g = g.sum(axis=axes, keepdims=True)
+    grad = _grad(t)
+    grad += g
+
+
+def _grad(t: Tensor) -> np.ndarray:
+    """``t.grad``, started at zeros when ``t`` has none yet: the buffer a
+    backward adds into, whole or by slice."""
     if t.grad is None:
-        t.grad = np.zeros(shape, dtype=np.float64)
-    t.grad += g
+        t.grad = np.zeros(t.data.shape)
+    return t.grad
 
 
 def _node(name: str, value, inputs, backward) -> Tensor:
@@ -261,20 +271,14 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    value = a.data.mean(axis=axis, keepdims=keepdims)
+
     def bw(g):
         shape = a.data.shape
-        count = a.data.size if axis is None else np.prod(
-            [shape[i] for i in _norm_axes(axis, a.data.ndim)]
-        )
+        count = a.data.size // value.size
         _add_grad(a, np.broadcast_to(_expand(g, shape, axis, keepdims), shape) / count)
 
-    return _node("mean", a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def _norm_axes(axis, ndim):
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
+    return _node("mean", value, (a,), bw)
 
 
 def _expand(g, shape, axis, keepdims):
@@ -283,7 +287,7 @@ def _expand(g, shape, axis, keepdims):
         return g.reshape((1,) * len(shape))
     if keepdims:
         return g
-    return np.expand_dims(g, _norm_axes(axis, len(shape)))
+    return np.expand_dims(g, axis)
 
 
 def _keep_mask(shape, rate: float, rng: Rng | None):
@@ -507,31 +511,6 @@ def _hand_over(t: Tensor, g: np.ndarray):
             t.grad += g
 
 
-def _blockwise_attention(q, k, v, n_heads, rate, rng, blocks, name) -> tuple:
-    """The node behind ``local_attention``: runs the block forward over
-    ``blocks`` and records one backward for all of them.  Returns (output,
-    weights of the last block)."""
-    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
-    if (
-        len(qs) != 3 or len(ks) != 3 or len(vs) != 3 or qs[0] != ks[0] or ks[:2] != vs[:2]
-        or qs[-1] != ks[-1] or n_heads < 1 or qs[-1] % n_heads or vs[-1] % n_heads
-    ):
-        raise ShapeError(
-            f"attention needs token-major [batch, tokens, width] q/k/v whose widths "
-            f"split into {n_heads} heads, got {qs}, {ks}, {vs}"
-        )
-    y, p, state = _attention_forward(q.data, k.data, v.data, n_heads, rate, rng, blocks,
-                                     _recording(q, k, v) is not None)
-
-    def bw(g):
-        gk, gv = np.zeros(ks), np.zeros(vs)
-        gq = _attention_backward(g, state, n_heads, rate, gk, gv)
-        for t, gt in zip((q, k, v), (gq, gk, gv)):
-            _hand_over(t, gt)
-
-    return _node(name, y, (q, k, v), bw), p
-
-
 def _chunk_steps(mask_length: int) -> int:
     """Query steps per local-attention chunk.
 
@@ -569,24 +548,34 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, n_mod: int,
     <= mask_length``, with weights softmax(q k^T / sqrt(width / n_heads)) and
     inverted dropout on them at ``rate`` when ``rng`` is given.
 
-    The work is blockwise (``_band_blocks``), so time and memory grow linearly
-    in steps, and dropout is drawn over each key window only.  Under a tape,
-    each chunk's weights and a boolean keep mask are saved for the backward;
-    without one, nothing outlives its chunk.
+    This is the attention node.  The work is blockwise (``_band_blocks``), so
+    time and memory grow linearly in steps, and dropout is drawn over each key
+    window only.  Under a tape, each chunk's weights and a boolean keep mask
+    are saved for the backward; without one, nothing outlives its chunk.
     """
     if mask_length < 0:
         raise ConfigError(f"mask_length must be >= 0, got {mask_length}")
-    if q.data.shape != k.data.shape or q.data.ndim != 3:
-        raise ShapeError(f"local attention needs equal [batch, tokens, width] q/k, "
-                         f"got {q.data.shape}, {k.data.shape}")
-    n_tok = q.data.shape[1]
-    if n_mod < 1 or n_tok % n_mod:
-        raise ShapeError(f"{n_tok} tokens do not split into steps of {n_mod} modalities")
-    blocks = _band_blocks(n_tok // n_mod, n_mod, mask_length)
-    out, _ = _blockwise_attention(
-        q, k, v, n_heads, rate, rng, blocks, "local_attention"
-    )
-    return out
+    qs, vs = q.data.shape, v.data.shape
+    if (
+        len(qs) != 3 or k.data.shape != qs or len(vs) != 3 or vs[:2] != qs[:2] or n_heads < 1
+        or qs[-1] % n_heads or vs[-1] % n_heads or n_mod < 1 or qs[1] % n_mod
+    ):
+        raise ShapeError(
+            f"local attention needs token-major [batch, steps * {n_mod}, width] q/k/v, q and "
+            f"k of equal shape and widths that split into {n_heads} heads, got {qs}, "
+            f"{k.data.shape}, {vs}"
+        )
+    blocks = _band_blocks(qs[1] // n_mod, n_mod, mask_length)
+    y, _, state = _attention_forward(q.data, k.data, v.data, n_heads, rate, rng, blocks,
+                                     _recording(q, k, v) is not None)
+
+    def bw(g):
+        gk, gv = np.zeros(qs), np.zeros(vs)
+        gq = _attention_backward(g, state, n_heads, rate, gk, gv)
+        for t, gt in zip((q, k, v), (gq, gk, gv)):
+            _hand_over(t, gt)
+
+    return _node("local_attention", y, (q, k, v), bw)
 
 
 def causal_conv_block(x: Tensor, skip: Tensor, kernel: Tensor, bias: Tensor, dilation: int,
@@ -621,21 +610,16 @@ def causal_conv_block(x: Tensor, skip: Tensor, kernel: Tensor, bias: Tensor, dil
         _add_grad(skip, g)
         gy = g * mask
         gy *= scale
-        if x.requires_grad and x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        gk = np.zeros_like(kernel.data) if kernel.requires_grad else None
         for j in range(kk):
             off = j * dilation
             if off >= T:
                 break
             gpart = gy[..., off:, :]
             if x.requires_grad:
-                x.grad[..., : T - off, :] += np.matmul(gpart, kernel.data[j].T)
-            if gk is not None:
+                _grad(x)[..., : T - off, :] += np.matmul(gpart, kernel.data[j].T)
+            if kernel.requires_grad:
                 xs = x.data[..., : T - off, :]
-                gk[j] = np.matmul(xs.reshape(-1, c_in).T, gpart.reshape(-1, c_out))
-        if gk is not None:
-            _add_grad(kernel, gk)
+                _grad(kernel)[j] += np.matmul(xs.reshape(-1, c_in).T, gpart.reshape(-1, c_out))
         _add_grad(bias, gy.reshape(-1, c_out).sum(axis=0))
 
     return _node("causal_conv_block", skip.data + y, inputs, bw)
@@ -654,9 +638,7 @@ def getitem(a: Tensor, idx) -> Tensor:
     """Basic (view) indexing; backward scatter-adds into the parent's grad."""
 
     def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[idx] += g
+        _grad(a)[idx] += g
 
     return _node("getitem", a.data[idx], (a,), bw)
 
@@ -799,9 +781,7 @@ def decoder(start: Tensor, positions: Tensor, encoded: Tensor, layers, n_heads: 
                     )
                 gh = gx
             if positions.requires_grad:
-                if positions.grad is None:
-                    positions.grad = np.zeros_like(positions.data)
-                positions.grad[t : t + 1] += gh.sum(axis=(0,))
+                _grad(positions)[t : t + 1] += gh.sum(axis=(0,))
         _add_grad(start, gh)
         # Layers last to first, values before keys, one sum per layer: the
         # order of separate per-layer reshape and projection nodes.

@@ -310,31 +310,27 @@ def _run_chunk(model: EmotionRegressor, jobs, norm_stats: dict, chunk) -> tuple:
     return out.data, imp, rows
 
 
-def _chunk_worker(conn, model, jobs, norm_stats, chunks):
-    """Body of a forked evaluation worker: run ``chunks`` and send back their
-    results, or the exception that stopped them."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes Ctrl-C and ends its workers
-    try:
-        conn.send((True, [_run_chunk(model, jobs, norm_stats, c) for c in chunks]))
-    except Exception as exc:
-        conn.send((False, exc))
-    finally:
-        conn.close()
-
-
 def _run_chunks(model, jobs, norm_stats, chunks, n_proc) -> list:
     """``_run_chunk`` over ``chunks`` on ``n_proc`` processes, chunk k in
     process k mod ``n_proc``: this process runs share 0 and ``n_proc - 1``
-    forked workers the rest (none at ``n_proc = 1``).  The workers inherit the
-    model, jobs and stats through the fork and send back only their results;
-    each is joined before this returns or raises."""
+    forked workers the rest (none at ``n_proc = 1``).  A worker inherits the
+    model, jobs and stats through the fork, and sends one message back: its
+    share's results, or the exception that stopped it, which is raised here.
+    Every worker is joined before this returns or raises."""
+
+    def work(conn, share):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes Ctrl-C and ends its workers
+        try:
+            conn.send([_run_chunk(model, jobs, norm_stats, c) for c in share])
+        except Exception as exc:
+            conn.send(exc)
+
     workers = []
     try:
         for w in range(1, n_proc):
             ctx = mp.get_context("fork")  # only here: W = 1 runs where fork does not exist
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_chunk_worker, daemon=True,
-                               args=(send, model, jobs, norm_stats, chunks[w::n_proc]))
+            proc = ctx.Process(target=work, daemon=True, args=(send, chunks[w::n_proc]))
             proc.start()
             send.close()
             workers.append((proc, recv))
@@ -342,12 +338,12 @@ def _run_chunks(model, jobs, norm_stats, chunks, n_proc) -> list:
         results[::n_proc] = [_run_chunk(model, jobs, norm_stats, c) for c in chunks[::n_proc]]
         for w, (proc, recv) in enumerate(workers, start=1):
             try:
-                ok, value = recv.recv()
+                value = recv.recv()
             except EOFError:
                 proc.join()
                 raise RuntimeError(f"evaluation worker exited with code {proc.exitcode} "
                                    "before sending its results") from None
-            if not ok:
+            if isinstance(value, Exception):
                 raise value
             results[w::n_proc] = value
         return results
@@ -490,6 +486,8 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, train_samples,
     scheduler = PlateauScheduler(
         optimizer, train_cfg.halve_patience, train_cfg.stop_patience
     )
+    # Validation features too large for the model fail here, before any step.
+    evaluate(model, val_samples, norm_stats)
     history = RunHistory()
     best_state = None
     for epoch in range(train_cfg.epochs):

@@ -9,12 +9,23 @@ from emoreg.tensor import Tensor
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float, rng,
               additive_mask=None) -> tuple:
     """Unbanded multi-head attention under an additive [queries, keys] mask,
-    as one node on the library's block kernel with one whole block.  Returns
-    (output, pre-dropout weights [batch, heads, queries, keys]); a fully
-    masked row gives NaN weights."""
+    as one ``"attention"`` node on the attention kernels that the decoder node
+    runs, with one whole block whose state is always saved.  Returns (output,
+    pre-dropout weights [batch, heads, queries, keys]); a fully masked row
+    gives NaN weights.  Shapes are not checked: ``tz.local_attention`` owns
+    the check."""
     mask = None if additive_mask is None else np.asarray(additive_mask, dtype=np.float64)
     whole = [(slice(None), slice(None), mask)]
-    return tz._blockwise_attention(q, k, v, n_heads, rate, rng, whole, "attention")
+    y, weights, state = tz._attention_forward(q.data, k.data, v.data, n_heads, rate, rng,
+                                              whole, True)
+
+    def bw(g):
+        gk, gv = np.zeros(k.data.shape), np.zeros(v.data.shape)
+        gq = tz._attention_backward(g, state, n_heads, rate, gk, gv)
+        for t, gt in zip((q, k, v), (gq, gk, gv)):
+            tz._hand_over(t, gt)
+
+    return tz._node("attention", y, (q, k, v), bw), weights
 
 
 def _attend(proj: dict, n_heads: int, q_src: Tensor, k: Tensor, v: Tensor, mask) -> tuple:

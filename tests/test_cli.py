@@ -12,6 +12,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from emoreg import train
 from emoreg.cli import main
 from emoreg.data import load_dataset
 from emoreg.model import load_checkpoint, save_checkpoint
@@ -256,11 +257,15 @@ class TestTrain:
         ("val/val001/labels.csv", "sample val001: labels up to 1e+300 are too large"),
         ("train/train001/video.csv",
          "sample train001: modality 'video' features up to 1e+300 are too large to normalise"),
-    ], ids=["train-label", "val-label", "train-feature"])
-    def test_value_too_large_to_train_is_named(self, dataset, tmp_path, capsys, command,
-                                               path, message):
-        # Once a training label of 1e300 trained and exited 0, and a training
-        # feature of 1e300 wrote an inf std no eval would accept.
+        ("val/val001/video.csv", "sample val001: non-finite predictions from"),
+    ], ids=["train-label", "val-label", "train-feature", "val-feature"])
+    def test_value_too_large_to_train_is_named(self, dataset, tmp_path, capsys, monkeypatch,
+                                               command, path, message):
+        # Once a training label of 1e300 trained and exited 0, a training
+        # feature of 1e300 wrote an inf std no eval would accept, and a
+        # validation feature of 1e300 was found only after a whole epoch.
+        steps = []
+        monkeypatch.setattr(train.AdamOptimizer, "step", lambda self: steps.append(self))
         data = tmp_path / "data"
         shutil.copytree(dataset, data)
         _set_cell(data / path, 2, "1e300")
@@ -274,6 +279,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+        assert steps == []
 
     def test_rejected_run_leaves_forced_manifest_untouched(self, dataset, workspace, capsys):
         # 40-step training segments exceed max_steps: train_run rejects the

@@ -144,11 +144,11 @@ class TestForwardSemantics:
     def test_attention_shape_errors(self):
         x = Tensor(np.ones((1, 3, 4)))
         with pytest.raises(ShapeError):
-            attention(x, x, x, 3, 0.0, None)  # width 4 over 3 heads
+            tz.local_attention(x, x, x, 3, 1, 1, 0.0, None)  # width 4 over 3 heads
         with pytest.raises(ShapeError):
-            attention(x, Tensor(np.ones((1, 3, 2))), x, 1, 0.0, None)
+            tz.local_attention(x, Tensor(np.ones((1, 3, 2))), x, 1, 1, 1, 0.0, None)
         with pytest.raises(ShapeError):
-            attention(Tensor(np.ones((1, 1, 3, 4))), x, x, 1, 0.0, None)
+            tz.local_attention(Tensor(np.ones((1, 1, 3, 4))), x, x, 1, 1, 1, 0.0, None)
 
     def test_dropout_eval_mode_is_identity(self):
         x = Tensor(Rng(4).normal(0, 1, (5, 5)))
@@ -412,6 +412,21 @@ class TestTape:
         in_node = sum(record_calls(fn) for fn in ast.parse((SRC / "tensor.py").read_text()).body
                       if isinstance(fn, ast.FunctionDef) and fn.name == "_node")
         assert (total, in_node) == (1, 1)
+
+    def test_grad_buffers_start_in_one_helper(self):
+        # A backward adds into _grad(t) or hands its array over; a second
+        # place that starts t.grad would be a second zeros-then-add path.
+        def stores_grad(fn):
+            return any(isinstance(n, ast.Attribute) and n.attr == "grad"
+                       and isinstance(n.ctx, ast.Store) for n in ast.walk(fn))
+
+        tree = ast.parse((SRC / "tensor.py").read_text())
+        defs = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                for f in c.body if isinstance(f, ast.FunctionDef)]
+        defs += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        assert {name for name, fn in defs if stores_grad(fn)} == {
+            "Tensor.__init__", "Tensor.zero_grad", "Tape.backward", "_grad", "_hand_over",
+        }
 
     def test_nested_tape_is_refused_and_the_outer_keeps_recording(self):
         x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
